@@ -4,57 +4,51 @@
 //
 //   $ ./multi_shard
 
-#include <condition_variable>
 #include <cstdio>
-#include <mutex>
+#include <set>
 
-#include "src/protocol/sharded.h"
+#include "src/api/blocking_client.h"
+#include "src/api/system.h"
 #include "src/transport/threaded_transport.h"
 
 using namespace meerkat;
 
 int main() {
+  constexpr size_t kShards = 3;
+  constexpr size_t kReplicas = 3;
   ThreadedTransport transport;
   SystemTimeSource time_source;
-
-  ShardedOptions options;
-  options.num_shards = 3;
-  options.system.quorum = QuorumConfig::ForReplicas(3);  // 9 replicas total.
-  options.system.cores_per_replica = 2;
-  options.system.retry = RetryPolicy::WithTimeout(5'000'000);
-  ShardedCluster cluster(options, &transport);
+  auto options = SystemOptions()
+                     .WithShards(kShards)  // 3 shards x 3 replicas = 9 replicas.
+                     .WithReplicas(kReplicas)
+                     .WithCores(2)
+                     .WithRetry(RetryPolicy::WithTimeout(5'000'000));
+  auto system = CreateSystem(options, &transport, &time_source);
 
   // Find keys on three different shards, then load them.
-  std::string keys[3];
+  std::string keys[kShards];
   size_t found = 0;
-  for (int i = 0; found < 3 && i < 10000; i++) {
+  for (int i = 0; found < kShards && i < 10000; i++) {
     std::string candidate = "item-" + std::to_string(i);
-    if (cluster.ShardForKey(candidate) == found) {
+    if (ShardForKey(candidate, kShards) == found) {
       keys[found++] = candidate;
     }
   }
   for (const std::string& key : keys) {
-    cluster.Load(key, "100");
-    printf("loaded %-8s on shard %zu\n", key.c_str(), cluster.ShardForKey(key));
+    system->Load(key, "100");
+    printf("loaded %-8s on shard %zu\n", key.c_str(), ShardForKey(key, kShards));
   }
 
-  ShardedSession session(1, &transport, &time_source, &cluster, 7);
-  std::mutex mu;
-  std::condition_variable cv;
+  BlockingClient client(*system, /*client_id=*/1, /*seed=*/7);
   auto run = [&](TxnPlan plan, const char* label) {
-    std::unique_lock<std::mutex> lock(mu);
-    bool done = false;
-    TxnResult result = TxnResult::kFailed;
-    session.ExecuteAsync(std::move(plan), [&](const TxnOutcome& outcome) {
-      std::lock_guard<std::mutex> inner(mu);
-      result = outcome.result;
-      done = true;
-      cv.notify_one();
-    });
-    cv.wait(lock, [&] { return done; });
-    printf("%-32s -> %s (%zu shard%s involved)\n", label, ToString(result),
-           session.last_shard_count(), session.last_shard_count() == 1 ? "" : "s");
-    return result;
+    std::set<size_t> shards;
+    for (const Op& op : plan.ops) {
+      shards.insert(ShardForKey(op.key, kShards));
+    }
+    TxnOutcome outcome = client.Execute(std::move(plan));
+    printf("%-32s -> %s (%zu shard%s involved)\n", label, ToString(outcome.result),
+           shards.size(), shards.size() == 1 ? "" : "s");
+    return outcome.result;
   };
 
   // A three-shard atomic transfer: move 10 units from item 0 to items 1 and 2.
@@ -77,7 +71,9 @@ int main() {
   transport.DrainForTesting();
   int total = 0;
   for (const std::string& key : keys) {
-    ReadResult r = cluster.ReadAt(cluster.ShardForKey(key), 0, key);
+    // Replica 0 of the key's shard (System replica ids are global).
+    ReadResult r = system->ReadAtReplica(
+        static_cast<ReplicaId>(ShardForKey(key, kShards) * kReplicas), key);
     printf("%-8s = %s\n", key.c_str(), r.value.c_str());
     total += std::stoi(r.value);
   }

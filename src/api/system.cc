@@ -1,5 +1,7 @@
 #include "src/api/system.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "src/baselines/primary_backup.h"
@@ -41,37 +43,52 @@ void InstallFaultPlan(const SystemOptions& options, Transport* transport) {
   }
 }
 
+// Options for a MeerkatSession of this deployment (Meerkat and TAPIR clients
+// run the identical commit protocol). Draws the session's clock skew.
+SessionOptions MeerkatSessionOptions(const SystemOptions& options, Rng& session_rng,
+                                     ClientCache* cache) {
+  SessionOptions s;
+  s.quorum = options.quorum;
+  s.num_shards = options.num_shards;
+  s.cores_per_replica = options.cores_per_replica;
+  s.retry = options.retry;
+  s.clock_skew_ns = DrawSkew(session_rng, options.clock.max_skew_ns);
+  s.clock_jitter_ns = options.clock.jitter_ns;
+  s.force_slow_path = options.force_slow_path;
+  s.cache = cache;  // Session opts out itself when disabled.
+  return s;
+}
+
 class MeerkatSystem : public System {
  public:
   MeerkatSystem(const SystemOptions& options, Transport* transport, TimeSource* time_source)
       : System(options.admission, options.cache), options_(options), transport_(transport),
         time_source_(time_source), session_rng_(0xc0ffee) {
     InstallFaultPlan(options, transport);
-    for (ReplicaId r = 0; r < options.quorum.n; r++) {
-      replicas_.push_back(std::make_unique<MeerkatReplica>(
-          r, options.quorum, options.cores_per_replica, transport, /*group_base=*/0,
-          options.retry, options.overload, options.gc, options.cache));
+    // Shard s is the replica group [s*n, (s+1)*n).
+    for (size_t shard = 0; shard < options.num_shards; shard++) {
+      ReplicaId base = static_cast<ReplicaId>(shard * options.quorum.n);
+      for (ReplicaId r = 0; r < options.quorum.n; r++) {
+        replicas_.push_back(std::make_unique<MeerkatReplica>(
+            base + r, options.quorum, options.cores_per_replica, transport, base,
+            options.retry, options.overload, options.gc, options.cache));
+      }
     }
   }
 
   SystemKind kind() const override { return SystemKind::kMeerkat; }
 
   void Load(const std::string& key, const std::string& value) override {
-    for (auto& replica : replicas_) {
-      replica->LoadKey(key, value, kLoadVersion);
+    size_t base = ShardForKey(key, options_.num_shards) * options_.quorum.n;
+    for (size_t r = 0; r < options_.quorum.n; r++) {
+      replicas_[base + r]->LoadKey(key, value, kLoadVersion);
     }
   }
 
   std::unique_ptr<ClientSession> CreateSession(uint32_t client_id, uint64_t seed) override {
-    SessionOptions s;
-    s.quorum = options_.quorum;
-    s.cores_per_replica = options_.cores_per_replica;
-    s.retry = options_.retry;
-    s.clock_skew_ns = DrawSkew(session_rng_, options_.clock.max_skew_ns);
-    s.clock_jitter_ns = options_.clock.jitter_ns;
-    s.force_slow_path = options_.force_slow_path;
-    s.cache = &client_cache();  // Session opts out itself when disabled.
-    return std::make_unique<MeerkatSession>(client_id, transport_, time_source_, s, seed);
+    return std::make_unique<MeerkatSession>(
+        client_id, transport_, time_source_,
+        MeerkatSessionOptions(options_, session_rng_, &client_cache()), seed);
   }
 
   ReadResult ReadAtReplica(ReplicaId r, const std::string& key) override {
@@ -127,16 +144,9 @@ class TapirSystem : public System {
   }
 
   std::unique_ptr<ClientSession> CreateSession(uint32_t client_id, uint64_t seed) override {
-    SessionOptions s;
-    s.quorum = options_.quorum;
-    s.cores_per_replica = options_.cores_per_replica;
-    s.retry = options_.retry;
-    s.clock_skew_ns = DrawSkew(session_rng_, options_.clock.max_skew_ns);
-    s.clock_jitter_ns = options_.clock.jitter_ns;
-    s.force_slow_path = options_.force_slow_path;
-    s.cache = &client_cache();  // Session opts out itself when disabled.
-    // TAPIR clients run the identical commit protocol.
-    return std::make_unique<MeerkatSession>(client_id, transport_, time_source_, s, seed);
+    return std::make_unique<MeerkatSession>(
+        client_id, transport_, time_source_,
+        MeerkatSessionOptions(options_, session_rng_, &client_cache()), seed);
   }
 
   ReadResult ReadAtReplica(ReplicaId r, const std::string& key) override {
@@ -259,6 +269,15 @@ class PbSystem : public System {
 
 std::unique_ptr<System> CreateSystem(const SystemOptions& options, Transport* transport,
                                      TimeSource* time_source) {
+  // Only Meerkat replica groups shard. Abort rather than silently building
+  // a one-group cluster whose clients would address missing replicas; this
+  // must hold in release builds too, hence no assert.
+  if (options.num_shards == 0 ||
+      (options.num_shards != 1 && options.kind != SystemKind::kMeerkat)) {
+    std::fprintf(stderr, "meerkat: num_shards %zu unsupported for %s (only MEERKAT shards)\n",
+                 options.num_shards, ToString(options.kind));
+    std::abort();
+  }
   switch (options.kind) {
     case SystemKind::kMeerkat:
       return std::make_unique<MeerkatSystem>(options, transport, time_source);

@@ -69,6 +69,11 @@ struct ClockOptions {
 struct SystemOptions {
   SystemKind kind = SystemKind::kMeerkat;
   QuorumConfig quorum = QuorumConfig::ForReplicas(3);
+  // Hash partitions of the key space, each its own replica group of
+  // quorum.n replicas (paper §5.2.4): the system owns num_shards * n
+  // replicas, and shard s holds global replica ids [s*n, (s+1)*n).
+  // kMeerkat only; CreateSystem aborts on num_shards != 1 for other kinds.
+  size_t num_shards = 1;
   size_t cores_per_replica = 1;
   ClockOptions clock;
   // Retransmission/backoff policy for every session (and for replica-driven
@@ -119,6 +124,10 @@ struct SystemOptions {
     quorum = q;
     return *this;
   }
+  SystemOptions& WithShards(size_t s) {
+    num_shards = s;
+    return *this;
+  }
   SystemOptions& WithCores(size_t c) {
     cores_per_replica = c;
     return *this;
@@ -166,14 +175,16 @@ struct SystemOptions {
 };
 
 // A fully assembled cluster of one system kind. Owns the replicas; sessions
-// are created on demand and owned by the caller.
+// are created on demand and owned by the caller. Replica ids below are
+// global: replica r of shard s is s * quorum.n + r.
 class System {
  public:
   virtual ~System() = default;
 
   virtual SystemKind kind() const = 0;
 
-  // Loads a committed key on every replica (database population).
+  // Loads a committed key on every replica of its shard (database
+  // population).
   virtual void Load(const std::string& key, const std::string& value) = 0;
 
   virtual std::unique_ptr<ClientSession> CreateSession(uint32_t client_id, uint64_t seed) = 0;
@@ -238,6 +249,8 @@ class System {
   }
 };
 
+// Aborts with a message if options.num_shards is 0, or is not 1 for a kind
+// other than kMeerkat.
 std::unique_ptr<System> CreateSystem(const SystemOptions& options, Transport* transport,
                                      TimeSource* time_source);
 

@@ -37,21 +37,34 @@ const MetricId kOverloadRejections = MetricsRegistry::Counter("overload.coord_re
 }  // namespace
 
 CommitCoordinator::CommitCoordinator(Transport* transport, Address self,
-                                     const QuorumConfig& quorum, CoreId core, TxnId tid,
-                                     Timestamp ts, std::vector<ReadSetEntry> read_set,
-                                     std::vector<WriteSetEntry> write_set,
-                                     const RetryPolicy& retry, uint64_t timer_base,
-                                     DoneCallback done)
-    : transport_(transport), self_(self), quorum_(quorum), core_(core), tid_(tid), ts_(ts),
-      sets_(MakeTxnSets(std::move(read_set), std::move(write_set))), retry_(retry),
-      timer_base_(timer_base), done_(std::move(done)),
-      rng_(TxnIdHash{}(tid) ^ timer_base) {}
+                                     const QuorumConfig& quorum, const RetryPolicy& retry)
+    : transport_(transport), self_(self), quorum_(quorum), retry_(retry) {}
 
 // Stack-staging size for quorum fan-outs; groups larger than this flush in
 // chunks. Big enough for every quorum config the tests and benches use.
 constexpr size_t kFanoutChunk = 8;
 
-void CommitCoordinator::Start() {
+void CommitCoordinator::Start(CoreId core, TxnId tid, Timestamp ts,
+                              std::vector<ReadSetEntry> read_set,
+                              std::vector<WriteSetEntry> write_set, uint64_t timer_base) {
+  core_ = core;
+  tid_ = tid;
+  ts_ = ts;
+  sets_ = MakeTxnSets(std::move(read_set), std::move(write_set));
+  timer_base_ = timer_base;
+  rng_.Seed(TxnIdHash{}(tid) ^ timer_base);
+  phase_ = Phase::kValidating;
+  retries_ = 0;
+  outcome_ = CommitOutcome{};
+  reply_epoch_ = 0;
+  validate_replied_.clear();
+  ok_count_ = 0;
+  abort_count_ = 0;
+  shed_replied_.clear();
+  shed_count_ = 0;
+  proposal_commit_ = false;
+  accept_ok_.clear();
+  accept_rejects_ = 0;
   start_ns_ = phase_start_ns_ = MetricsNowNanos();
   SendValidates(/*only_missing=*/false);
   ArmTimer(kValidatePhaseTimer);
@@ -123,7 +136,7 @@ void CommitCoordinator::SendAccepts() {
   TraceRecord(tid_, TraceStep::kAcceptSent, proposal_commit_ ? 1 : 0);
 }
 
-void CommitCoordinator::BroadcastDecision(bool commit) {
+void CommitCoordinator::BroadcastFinal(bool commit) {
   // Asynchronous write-phase message; in the paper this piggybacks on the
   // client's next request, which the simulator's cost model reflects by
   // charging no extra round trip (the decision never blocks the client).
@@ -170,9 +183,6 @@ void CommitCoordinator::Finish(TxnResult result, CommitPath path, AbortReason re
   outcome_.result = result;
   outcome_.path = path;
   outcome_.reason = result == TxnResult::kCommit ? AbortReason::kNone : reason;
-  if (done_) {
-    done_(outcome_);
-  }
 }
 
 bool CommitCoordinator::OnMessage(const Message& msg) {
@@ -254,9 +264,6 @@ bool CommitCoordinator::OnMessage(const Message& msg) {
     accept_ok_.insert(reply->from);
     if (accept_ok_.size() >= quorum_.Majority()) {
       TraceRecord(tid_, TraceStep::kSlowPathDecision, proposal_commit_ ? 1 : 0);
-      if (!defer_decision_) {
-        BroadcastDecision(proposal_commit_);
-      }
       Finish(proposal_commit_ ? TxnResult::kCommit : TxnResult::kAbort, CommitPath::kSlow,
              AbortReason::kOccConflict);
     }
@@ -271,17 +278,11 @@ void CommitCoordinator::MaybeDecideValidation() {
   if (!force_slow_path_) {
     if (ok_count_ >= quorum_.SuperMajority()) {
       TraceRecord(tid_, TraceStep::kFastPathDecision, 1);
-      if (!defer_decision_) {
-        BroadcastDecision(true);
-      }
       Finish(TxnResult::kCommit, CommitPath::kFast, AbortReason::kNone);
       return;
     }
     if (abort_count_ >= quorum_.SuperMajority()) {
       TraceRecord(tid_, TraceStep::kFastPathDecision, 0);
-      if (!defer_decision_) {
-        BroadcastDecision(false);
-      }
       Finish(TxnResult::kAbort, CommitPath::kFast, AbortReason::kOccConflict);
       return;
     }
@@ -294,9 +295,6 @@ void CommitCoordinator::MaybeDecideValidation() {
   size_t received = validate_replied_.size();
   size_t votes = ok_count_ + abort_count_;
   if (shed_count_ > 0 && votes + (quorum_.n - received) < quorum_.Majority()) {
-    if (!defer_decision_) {
-      BroadcastDecision(false);
-    }
     Finish(TxnResult::kAbort, CommitPath::kNone, AbortReason::kOverload);
     return;
   }
@@ -372,10 +370,9 @@ bool CommitCoordinator::OnTimer(uint64_t timer_id) {
 
 BackupCoordinator::BackupCoordinator(Transport* transport, Address self,
                                      const QuorumConfig& quorum, CoreId core, TxnId tid,
-                                     ViewNum view, const RetryPolicy& retry, uint64_t timer_base,
-                                     DoneCallback done)
+                                     ViewNum view, const RetryPolicy& retry, uint64_t timer_base)
     : transport_(transport), self_(self), quorum_(quorum), core_(core), tid_(tid), view_(view),
-      retry_(retry), timer_base_(timer_base), done_(std::move(done)),
+      retry_(retry), timer_base_(timer_base),
       rng_(TxnIdHash{}(tid) ^ (view + 1) ^ timer_base) {}
 
 void BackupCoordinator::Start() {
@@ -518,9 +515,6 @@ void BackupCoordinator::Finish(TxnResult result) {
       result == TxnResult::kCommit ? AbortReason::kNone
       : result == TxnResult::kAbort ? AbortReason::kRecoveryAbort
                                     : AbortReason::kNoQuorum;
-  if (done_) {
-    done_(outcome_);
-  }
 }
 
 }  // namespace meerkat

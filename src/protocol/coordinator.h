@@ -7,10 +7,11 @@
 //            -> (mixed replies / quorum only)          slow path: ACCEPT round
 //   ACCEPT   -> (f+1 matching accepts)                 decide
 //
-// and asynchronously broadcasts the COMMIT/ABORT decision. It is runtime-
-// agnostic: the owner (a MeerkatSession, or a test) feeds replies in via
-// OnMessage and timeouts via OnTimer; the machine emits messages through the
-// Transport and reports completion through a callback.
+// and reports the decision through done()/outcome(). It is runtime-agnostic:
+// the owner (a MeerkatSession, or a test) feeds replies in via OnMessage and
+// timeouts via OnTimer, polls done() after each feed, and then sends the
+// COMMIT/ABORT write phase with BroadcastFinal — the only way a client
+// decision leaves.
 //
 // A BackupCoordinator finishes an orphaned transaction after its coordinator
 // failed: a Paxos-prepare-like CoordChange round establishes a new view and
@@ -20,7 +21,6 @@
 #ifndef MEERKAT_SRC_PROTOCOL_COORDINATOR_H_
 #define MEERKAT_SRC_PROTOCOL_COORDINATOR_H_
 
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -57,27 +57,24 @@ struct CommitOutcome {
 
 class CommitCoordinator {
  public:
-  using DoneCallback = std::function<void(const CommitOutcome&)>;
-
-  // Timer ids passed to SetTimer are `timer_base + phase`; the owner routes
-  // TimerFire back via OnTimer. A disabled RetryPolicy (timeout_ns == 0)
-  // never arms timers (appropriate for fault-free benchmark runs).
-  CommitCoordinator(Transport* transport, Address self, const QuorumConfig& quorum, CoreId core,
-                    TxnId tid, Timestamp ts, std::vector<ReadSetEntry> read_set,
-                    std::vector<WriteSetEntry> write_set, const RetryPolicy& retry,
-                    uint64_t timer_base, DoneCallback done);
+  // A coordinator runs one transaction at a time and is reusable: each Start
+  // begins a fresh round, so owners keep coordinators in per-session slots
+  // instead of allocating one per commit. Idle (done()) until the first
+  // Start. A disabled RetryPolicy (timeout_ns == 0) never arms timers
+  // (appropriate for fault-free benchmark runs).
+  CommitCoordinator(Transport* transport, Address self, const QuorumConfig& quorum,
+                    const RetryPolicy& retry);
 
   // Ablation knob: never decide on the fast path, even with a supermajority
   // of matching replies (measures what the fast path is worth).
   void set_force_slow_path(bool force) { force_slow_path_ = force; }
 
-  // Multi-shard mode (paper §5.2.4): this coordinator validates one shard of
-  // a distributed transaction. The decision is *deferred*: outcome() reports
-  // what this shard decided, but no COMMIT/ABORT is broadcast until the
-  // parent, having heard from every shard, calls BroadcastFinal with the
-  // conjunction of the shard decisions (the atomic-commitment step).
-  void set_defer_decision(bool defer) { defer_decision_ = defer; }
-  void BroadcastFinal(bool commit) { BroadcastDecision(commit); }
+  // The decision is *deferred* (paper §5.2.4): outcome() reports what this
+  // replica group decided, but no COMMIT/ABORT is broadcast until the owner,
+  // having heard from every group the transaction touches, calls
+  // BroadcastFinal with the conjunction of their decisions (the
+  // atomic-commitment step; with one group it is that group's own decision).
+  void BroadcastFinal(bool commit);
 
   // The replica group this coordinator talks to: replicas
   // [group_base, group_base + n). Shard s of a sharded deployment registers
@@ -101,7 +98,13 @@ class CommitCoordinator {
   CommitCoordinator(const CommitCoordinator&) = delete;
   CommitCoordinator& operator=(const CommitCoordinator&) = delete;
 
-  void Start();
+  // Begins validating transaction `tid` at `ts` with the given sets (its
+  // slice for this replica group), discarding all state of the previous
+  // round. Timer ids passed to SetTimer are `timer_base + phase`; the owner
+  // routes TimerFire back via OnTimer. The knobs above carry over between
+  // rounds.
+  void Start(CoreId core, TxnId tid, Timestamp ts, std::vector<ReadSetEntry> read_set,
+             std::vector<WriteSetEntry> write_set, uint64_t timer_base);
 
   // Feeds a reply; returns true if it belonged to this transaction.
   bool OnMessage(const Message& msg);
@@ -111,10 +114,7 @@ class CommitCoordinator {
   bool OnTimer(uint64_t timer_id);
 
   bool done() const { return phase_ == Phase::kDone; }
-  // Valid once done(). Owners that may destroy the coordinator from their
-  // completion path MUST pass a null DoneCallback and poll done()/outcome()
-  // after each OnMessage/OnTimer instead: a callback that destroys the
-  // coordinator would free the very frames still executing.
+  // Valid once done(); owners poll done() after each OnMessage/OnTimer.
   const CommitOutcome& outcome() const { return outcome_; }
   const TxnId& tid() const { return tid_; }
   Timestamp ts() const { return ts_; }
@@ -127,7 +127,6 @@ class CommitCoordinator {
 
   void SendValidates(bool only_missing);
   void SendAccepts();
-  void BroadcastDecision(bool commit);
   void Finish(TxnResult result, CommitPath path, AbortReason reason);
   void MaybeDecideValidation();
   void ArmTimer(uint64_t phase_timer);
@@ -135,27 +134,25 @@ class CommitCoordinator {
   Transport* const transport_;
   const Address self_;
   const QuorumConfig quorum_;
-  const CoreId core_;
-  const TxnId tid_;
-  const Timestamp ts_;
-  // Built once in the constructor; every VALIDATE/ACCEPT in the fan-out
-  // shares this payload instead of deep-copying the sets per replica.
-  const TxnSetsPtr sets_;
   const RetryPolicy retry_;
-  const uint64_t timer_base_;
-  DoneCallback done_;
+  CoreId core_ = 0;
+  TxnId tid_;
+  Timestamp ts_;
+  // Built once per Start; every VALIDATE/ACCEPT in the fan-out shares this
+  // payload instead of deep-copying the sets per replica.
+  TxnSetsPtr sets_;
+  uint64_t timer_base_ = 0;
   // Backoff jitter; seeded deterministically from the transaction id so
   // identical runs retransmit at identical (sim) times.
   Rng rng_;
 
-  Phase phase_ = Phase::kValidating;
+  Phase phase_ = Phase::kDone;
   uint32_t retries_ = 0;
   // Phase-latency stamps (MetricsNowNanos domain): txn start and the start of
-  // the currently running phase; 0 until Start().
+  // the currently running phase.
   uint64_t start_ns_ = 0;
   uint64_t phase_start_ns_ = 0;
   bool force_slow_path_ = false;
-  bool defer_decision_ = false;
   ReplicaId group_base_ = 0;
   uint8_t priority_ = 0;
   Timestamp oldest_inflight_;
@@ -182,14 +179,11 @@ class CommitCoordinator {
 
 class BackupCoordinator {
  public:
-  using DoneCallback = std::function<void(const CommitOutcome&)>;
-
   // `view` must be greater than any view the transaction has seen; backup
   // coordinators for view v are conventionally hosted on replica (v mod n),
   // but any node may run one (the view number is what arbitrates).
   BackupCoordinator(Transport* transport, Address self, const QuorumConfig& quorum, CoreId core,
-                    TxnId tid, ViewNum view, const RetryPolicy& retry, uint64_t timer_base,
-                    DoneCallback done);
+                    TxnId tid, ViewNum view, const RetryPolicy& retry, uint64_t timer_base);
 
   BackupCoordinator(const BackupCoordinator&) = delete;
   BackupCoordinator& operator=(const BackupCoordinator&) = delete;
@@ -224,7 +218,6 @@ class BackupCoordinator {
   ViewNum view_;
   const RetryPolicy retry_;
   const uint64_t timer_base_;
-  DoneCallback done_;
   Rng rng_;
 
   Phase phase_ = Phase::kPreparing;

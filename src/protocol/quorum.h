@@ -8,11 +8,18 @@
 //   * epoch change: f + 1 trecords suffice to reconstruct all decisions; a
 //     transaction that *might* have fast-committed shows at least
 //     ceil(f/2) + 1 VALIDATED-OK entries in any such quorum.
+//
+// Sharded deployments (paper §5.2.4) run one such group per shard: shard s
+// is the group of global replica ids [s*n, (s+1)*n), and ShardForKey maps
+// every key to its shard.
 
 #ifndef MEERKAT_SRC_PROTOCOL_QUORUM_H_
 #define MEERKAT_SRC_PROTOCOL_QUORUM_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <string>
 
 namespace meerkat {
 
@@ -42,6 +49,20 @@ struct QuorumConfig {
     return matching + (n - received) >= SuperMajority();
   }
 };
+
+// The shard owning `key` among `num_shards` hash partitions; with one shard,
+// shard 0 owns everything.
+inline size_t ShardForKey(const std::string& key, size_t num_shards) {
+  if (num_shards == 1) {
+    return 0;
+  }
+  // Mix the hash so adjacent std::hash values spread across shards.
+  uint64_t h = std::hash<std::string>{}(key);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 29;
+  return h % num_shards;
+}
 
 }  // namespace meerkat
 

@@ -1126,7 +1126,7 @@ ZCP_SLOW_PATH size_t MeerkatReplica::StartOrphanRecoveries(
     uint64_t timer_base = kBackupTimerBase + (backup_seq_++) * 4;
     auto backup = std::make_unique<BackupCoordinator>(
         transport_, Address::Replica(id_), quorum_, core, tid, view,
-        recovery_retry_, timer_base, /*done=*/nullptr);
+        recovery_retry_, timer_base);
     backup->set_group_base(group_base_);
     backup->Start();
     backups.emplace(tid, std::move(backup));

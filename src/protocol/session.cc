@@ -1,5 +1,6 @@
 #include "src/protocol/session.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -15,7 +16,16 @@ MeerkatSession::MeerkatSession(uint32_t client_id, Transport* transport,
       retry_(options.retry), self_(Address::Client(client_id)),
       clock_(time_source, options.clock_skew_ns, options.clock_jitter_ns, seed ^ 0x5bd1e995),
       rng_(seed), time_source_(time_source),
-      cache_(options.cache != nullptr && options.cache->enabled() ? options.cache : nullptr) {
+      cache_(options.cache != nullptr && options.cache->enabled() ? options.cache : nullptr),
+      shards_(options.num_shards) {
+  for (size_t shard = 0; shard < shards_.size(); shard++) {
+    auto coordinator =
+        std::make_unique<CommitCoordinator>(transport_, self_, options_.quorum, retry_);
+    coordinator->set_group_base(static_cast<ReplicaId>(shard * options_.quorum.n));
+    coordinator->set_force_slow_path(options_.force_slow_path);
+    coordinator->set_cache(cache_);  // Piggybacked invalidation hints.
+    shards_[shard].coordinator = std::move(coordinator);
+  }
   transport_->RegisterClient(client_id_, this);
 }
 
@@ -38,7 +48,6 @@ void MeerkatSession::ExecuteAsync(TxnPlan plan, TxnCallback cb) {
   get_outstanding_ = false;
   get_retries_ = 0;
   txn_retransmits_ = 0;
-  coordinator_.reset();
   TraceRecord(last_tid_, TraceStep::kTxnStart, static_cast<uint32_t>(plan_.ops.size()));
   IssueNextOp();
 }
@@ -101,9 +110,11 @@ void MeerkatSession::SendGet(const std::string& key) {
   get_key_ = key;
   Message msg;
   msg.src = self_;
-  // The execute phase reads from an arbitrary replica (paper §5.2.1); GETs
-  // load-balance across replicas and cores (paper §6.2).
-  msg.dst = Address::Replica(static_cast<ReplicaId>(rng_.NextBounded(options_.quorum.n)));
+  // The execute phase reads from an arbitrary replica of the key's shard
+  // (paper §5.2.1); GETs load-balance across replicas and cores (paper §6.2).
+  size_t shard_base = ShardForKey(key, shards_.size()) * options_.quorum.n;
+  msg.dst = Address::Replica(
+      static_cast<ReplicaId>(shard_base + rng_.NextBounded(options_.quorum.n)));
   msg.core = static_cast<CoreId>(rng_.NextBounded(options_.cores_per_replica));
   msg.payload = GetRequest{last_tid_, get_seq_, key};
   TraceRecord(last_tid_, TraceStep::kGetSent, static_cast<uint32_t>(get_seq_));
@@ -116,74 +127,128 @@ void MeerkatSession::SendGet(const std::string& key) {
 void MeerkatSession::StartCommit() {
   last_ts_ = Timestamp{clock_.Now(), client_id_};
 
-  std::vector<WriteSetEntry> write_set;
-  write_set.reserve(write_buffer_.size());
-  for (auto& [key, value] : write_buffer_) {
-    write_set.push_back(WriteSetEntry{key, value});
+  // Partition the transaction by shard: every involved shard validates its
+  // slice at the same timestamp, in parallel.
+  for (const ReadSetEntry& read : read_set_) {
+    std::vector<ReadSetEntry>& reads = shards_[ShardForKey(read.key, shards_.size())].reads;
+    if (reads.empty()) {
+      reads.reserve(read_set_.size());
+    }
+    reads.push_back(read);
   }
-
-  // Null completion callback: the session polls done() after every feed
-  // (MaybeFinishCommit) because OnCommitDone's application callback may start
-  // the next transaction, which replaces this coordinator — a synchronous
-  // callback would destroy the coordinator mid-invocation.
-  coordinator_ = std::make_unique<CommitCoordinator>(
-      transport_, self_, options_.quorum, core_, last_tid_, last_ts_, read_set_,
-      std::move(write_set), retry_, kCoordTimerBase + txn_seq_ * 4,
-      /*done=*/nullptr);
-  coordinator_->set_force_slow_path(options_.force_slow_path);
-  coordinator_->set_priority(plan_.priority);
-  coordinator_->set_cache(cache_);  // Piggybacked invalidation hints.
-  // Watermark-GC stamp: this session runs one transaction at a time, so its
-  // oldest possibly-retransmitted timestamp is exactly the one it proposes.
-  coordinator_->set_oldest_inflight(last_ts_);
-  coordinator_->Start();
+  for (const auto& [key, value] : write_buffer_) {
+    std::vector<WriteSetEntry>& writes = shards_[ShardForKey(key, shards_.size())].writes;
+    if (writes.empty()) {
+      writes.reserve(write_buffer_.size());
+    }
+    writes.push_back(WriteSetEntry{key, value});
+  }
+  for (uint32_t shard = 0; shard < shards_.size(); shard++) {
+    if (!shards_[shard].reads.empty() || !shards_[shard].writes.empty()) {
+      involved_.push_back(shard);
+    }
+  }
+  if (involved_.empty()) {
+    involved_.push_back(0);  // An empty transaction still runs one round.
+  }
+  for (uint32_t shard : involved_) {
+    ShardSlot& slot = shards_[shard];
+    CommitCoordinator& coordinator = *slot.coordinator;
+    coordinator.set_priority(plan_.priority);
+    // Watermark-GC stamp: this session runs one transaction at a time, so its
+    // oldest possibly-retransmitted timestamp is exactly the one it proposes.
+    coordinator.set_oldest_inflight(last_ts_);
+    coordinator.Start(core_, last_tid_, last_ts_, std::move(slot.reads), std::move(slot.writes),
+                      kCoordTimerBase + (txn_seq_ * shards_.size() + shard) * 4);
+    slot.reads.clear();  // Moved-from: empty them for the next partition.
+    slot.writes.clear();
+  }
 }
 
 void MeerkatSession::MaybeFinishCommit() {
-  if (coordinator_ == nullptr || !coordinator_->done()) {
-    return;
+  for (uint32_t shard : involved_) {
+    if (!shards_[shard].coordinator->done()) {
+      return;
+    }
   }
-  CommitOutcome outcome = coordinator_->outcome();
-  OnCommitDone(outcome);
-}
-
-void MeerkatSession::OnCommitDone(const CommitOutcome& outcome) {
   TxnOutcome out;
-  out.result = outcome.result;
-  out.path = outcome.path;
-  out.reason = outcome.reason;
+  out.result = TxnResult::kCommit;
+  out.path = CommitPath::kFast;
   out.tid = last_tid_;
   out.commit_ts = last_ts_;
-  out.retransmits = txn_retransmits_ + outcome.retransmits;
-  out.recovered = outcome.epoch_bumped;
-  out.backoff_hint_ns = outcome.backoff_hint_ns;
-  out.conflict_hash = outcome.conflict_hash;
-  if (outcome.result != TxnResult::kCommit && outcome.conflict_hash != 0) {
+  out.retransmits = txn_retransmits_;
+  for (uint32_t shard : involved_) {
+    const CommitOutcome& outcome = shards_[shard].coordinator->outcome();
+    // A failed shard makes the attempt fail; otherwise any abort aborts it.
+    // A shed shard's kOverload dominates other abort reasons: retry loops
+    // must back off, not treat it as a data conflict.
+    if (outcome.result == TxnResult::kFailed && out.result != TxnResult::kFailed) {
+      out.result = TxnResult::kFailed;
+      out.reason = outcome.reason;
+    } else if (outcome.result == TxnResult::kAbort && out.result == TxnResult::kCommit) {
+      out.result = TxnResult::kAbort;
+      out.reason = outcome.reason;
+    }
+    if (out.result == TxnResult::kAbort && outcome.reason == AbortReason::kOverload) {
+      out.reason = AbortReason::kOverload;
+    }
+    // The slowest shard names the path: kNone (no decision round) over kSlow
+    // over kFast.
+    if (out.path != CommitPath::kNone && outcome.path != CommitPath::kFast) {
+      out.path = outcome.path;
+    }
+    out.retransmits += outcome.retransmits;
+    out.recovered = out.recovered || outcome.epoch_bumped;
+    out.backoff_hint_ns = std::max(out.backoff_hint_ns, outcome.backoff_hint_ns);
+    if (out.conflict_hash == 0) {
+      out.conflict_hash = outcome.conflict_hash;  // First shard to name a key wins.
+    }
+  }
+  if (out.result == TxnResult::kAbort && out.reason == AbortReason::kOccConflict &&
+      involved_.size() > 1) {
+    // With several shards involved, the conjunction (atomic commitment) is
+    // what killed the transaction in the shards that voted to commit.
+    out.reason = AbortReason::kShardAbort;
+  }
+  // Atomic commitment: commit iff every shard's validation round committed.
+  // A shard whose coordinator failed gets no decision — a backup coordinator
+  // may own it, and replicas keep whichever final status arrives first.
+  for (uint32_t shard : involved_) {
+    CommitCoordinator& coordinator = *shards_[shard].coordinator;
+    if (coordinator.outcome().result != TxnResult::kFailed) {
+      coordinator.BroadcastFinal(out.result == TxnResult::kCommit);
+    }
+  }
+  OnCommitDone(std::move(out));
+}
+
+void MeerkatSession::OnCommitDone(TxnOutcome out) {
+  if (out.result != TxnResult::kCommit && out.conflict_hash != 0) {
     // Abort-reason fidelity: resolve the replica-reported hash back to a key
     // of this transaction's sets (reads first — that's the cache-relevant
     // case; a write-protect conflict names a written key instead).
     for (const ReadSetEntry& r : read_set_) {
-      if (VStore::HashKey(r.key) == outcome.conflict_hash) {
+      if (VStore::HashKey(r.key) == out.conflict_hash) {
         out.conflict_key = r.key;
         if (cache_ != nullptr) {
           // Dynamic self-invalidation: drop the offending key and teach the
           // cache it is contended so hot-written keys stop being cached.
           TraceRecord(last_tid_, TraceStep::kCacheAbortEvict, 0);
-          cache_->EvictForAbort(r.key, outcome.conflict_hash);
+          cache_->EvictForAbort(r.key, out.conflict_hash);
         }
         break;
       }
     }
     if (out.conflict_key.empty()) {
       for (const auto& [key, value] : write_buffer_) {
-        if (VStore::HashKey(key) == outcome.conflict_hash) {
+        if (VStore::HashKey(key) == out.conflict_hash) {
           out.conflict_key = key;
           break;
         }
       }
     }
   }
-  if (cache_ != nullptr && outcome.result == TxnResult::kCommit) {
+  if (cache_ != nullptr && out.result == TxnResult::kCommit) {
     // Read-your-own-writes across transactions: the committed writes are the
     // newest versions (modulo a concurrent winner, which OCC would catch on
     // the next use) — cache them with the commit timestamp.
@@ -196,9 +261,8 @@ void MeerkatSession::OnCommitDone(const CommitOutcome& outcome) {
 }
 
 void MeerkatSession::FailTxn(AbortReason reason) {
-  if (coordinator_ != nullptr) {
-    txn_retransmits_ += coordinator_->outcome().retransmits;
-    coordinator_.reset();
+  for (uint32_t shard : involved_) {
+    txn_retransmits_ += shards_[shard].coordinator->outcome().retransmits;
   }
   TxnOutcome out;
   out.result = TxnResult::kFailed;
@@ -237,6 +301,7 @@ void MeerkatSession::FinishTxn(const TxnOutcome& outcome) {
   }
   stats_.commit_latency.Record(time_source_->NowNanos() - txn_start_ns_);
   active_ = false;
+  involved_.clear();
   TxnCallback cb = std::move(callback_);
   callback_ = nullptr;
   if (cb) {
@@ -285,12 +350,16 @@ void MeerkatSession::Receive(Message&& msg) {
       return;
     }
     if (timer->timer_id >= kCoordTimerBase) {
-      if (coordinator_ != nullptr) {
-        if (!coordinator_->done() && DeadlineExceeded()) {
+      if (!involved_.empty()) {
+        if (DeadlineExceeded()) {
           FailTxn(AbortReason::kDeadline);
           return;
         }
-        coordinator_->OnTimer(timer->timer_id);
+        for (uint32_t shard : involved_) {
+          if (shards_[shard].coordinator->OnTimer(timer->timer_id)) {
+            break;
+          }
+        }
         MaybeFinishCommit();
       }
       return;
@@ -311,8 +380,14 @@ void MeerkatSession::Receive(Message&& msg) {
     }
     return;
   }
-  if (coordinator_ != nullptr && active_) {
-    coordinator_->OnMessage(msg);
+  if (!active_ || involved_.empty()) {
+    return;
+  }
+  // Protocol replies carry the replying replica's global id; route to that
+  // shard's coordinator.
+  size_t shard = msg.src.id / options_.quorum.n;
+  if (shard < shards_.size()) {
+    shards_[shard].coordinator->OnMessage(msg);
     MaybeFinishCommit();
   }
 }

@@ -1,5 +1,29 @@
-// MeerkatSession: one logical Meerkat client — the execute phase (paper
-// §5.2.1) plus ownership of the per-transaction CommitCoordinator.
+// MeerkatSession: one logical Meerkat (or TAPIR) client — the execute phase
+// (paper §5.2.1) plus ownership of the per-shard CommitCoordinators.
+//
+// Data is hash-partitioned into SessionOptions::num_shards shards; each shard
+// is an independent Meerkat replica group of n = 2f+1 replicas, and a single
+// shard is the plain replicated deployment. Meerkat's validation phase
+// already has the structure of an atomic-commitment prepare (decentralized
+// validation with a persistent, recoverable vote), so distributing a
+// transaction only requires running the validation phase in every involved
+// shard *in parallel* and committing iff every shard's validation round
+// decides commit (paper §5.2.4):
+//
+//   client --VALIDATE--> shard A replicas  -.
+//          --VALIDATE--> shard B replicas  --> per-shard decision
+//          <-----------------------------------'
+//   final = AND(shard decisions); ---COMMIT/ABORT---> all involved shards
+//
+// Each involved shard runs a deferred CommitCoordinator, kept in a per-shard
+// slot and reused across transactions: it decides (fast or slow path) but
+// withholds the write-phase broadcast until the conjunction is known. A shard
+// that voted to commit while another aborts receives ABORT, and its replicas
+// back out their readers/writers registrations — standard OCC 2PC semantics
+// on top of the unchanged replica code. A shard whose coordinator failed
+// (retries exhausted, or superseded by a backup coordinator that may decide
+// either way) receives no decision from the client: its fate belongs to
+// recovery, whose limits for multi-shard transactions DESIGN.md §7 lists.
 //
 // The session is an event-driven state machine so the same code runs under
 // the simulator (as a client actor) and under the threaded runtime (fed by
@@ -29,6 +53,9 @@ namespace meerkat {
 struct SessionOptions {
   QuorumConfig quorum;
   size_t cores_per_replica = 1;
+  // Hash partitions of the key space; shard s is the replica group of global
+  // ids [s*n, (s+1)*n) (quorum.h ShardForKey).
+  size_t num_shards = 1;
   // Retransmission/backoff policy; a disabled policy (the default) never
   // retransmits (fault-free benchmark runs).
   RetryPolicy retry;
@@ -95,14 +122,27 @@ class MeerkatSession : public ClientSession {
 
  private:
   // Timer-id space: low ids are execute-phase (GET retry) timers keyed by the
-  // get sequence number; coordinator timers live above kCoordTimerBase.
+  // get sequence number; coordinator timers live above kCoordTimerBase, four
+  // ids per (transaction, shard): kCoordTimerBase + (txn_seq * num_shards +
+  // shard) * 4 + phase.
   static constexpr uint64_t kCoordTimerBase = 1ULL << 62;
+
+  // Slot s drives replica group s. The slices hold this commit's share of
+  // the read/write sets between partitioning and the coordinator's Start.
+  struct ShardSlot {
+    std::unique_ptr<CommitCoordinator> coordinator;
+    std::vector<ReadSetEntry> reads;
+    std::vector<WriteSetEntry> writes;
+  };
 
   void IssueNextOp() REQUIRES(mu_);
   void SendGet(const std::string& key) REQUIRES(mu_);
   void StartCommit() REQUIRES(mu_);
+  // Commit phase only (involved_ non-empty): once every involved shard has
+  // decided, broadcasts the conjunction and folds the shard outcomes into the
+  // transaction's outcome.
   void MaybeFinishCommit() REQUIRES(mu_);
-  void OnCommitDone(const CommitOutcome& outcome) REQUIRES(mu_);
+  void OnCommitDone(TxnOutcome out) REQUIRES(mu_);
   // Terminates the attempt without a coordinator decision (GET retransmission
   // budget exhausted, or the per-attempt deadline passed).
   void FailTxn(AbortReason reason) REQUIRES(mu_);
@@ -152,7 +192,11 @@ class MeerkatSession : public ClientSession {
   uint32_t get_retries_ GUARDED_BY(mu_) = 0;      // Retransmissions of the outstanding GET.
   uint64_t txn_retransmits_ GUARDED_BY(mu_) = 0;  // All execute-phase re-sends this attempt.
 
-  std::unique_ptr<CommitCoordinator> coordinator_ GUARDED_BY(mu_);
+  // One slot per shard, built once (no per-commit coordinator allocation).
+  std::vector<ShardSlot> shards_ GUARDED_BY(mu_);
+  // Shards the in-flight commit touches, ascending; empty outside the
+  // commit phase.
+  std::vector<uint32_t> involved_ GUARDED_BY(mu_);
 };
 
 }  // namespace meerkat

@@ -5,58 +5,22 @@
 
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "src/protocol/coordinator.h"
+#include "tests/test_util.h"
 
 namespace meerkat {
 namespace {
-
-// Records outbound messages; delivers nothing.
-class CapturingTransport : public Transport {
- public:
-  void RegisterReplica(ReplicaId, CoreId, TransportReceiver*) override {}
-  void RegisterClient(uint32_t, TransportReceiver*) override {}
-  void UnregisterClient(uint32_t) override {}
-  void Send(Message msg) override { sent.push_back(std::move(msg)); }
-  void SetTimer(const Address&, CoreId, uint64_t, uint64_t timer_id) override {
-    timers.push_back(timer_id);
-  }
-
-  template <typename T>
-  size_t Count() const {
-    size_t n = 0;
-    for (const Message& msg : sent) {
-      if (std::holds_alternative<T>(msg.payload)) {
-        n++;
-      }
-    }
-    return n;
-  }
-
-  template <typename T>
-  const T* Last() const {
-    for (auto it = sent.rbegin(); it != sent.rend(); ++it) {
-      if (const T* p = std::get_if<T>(&it->payload)) {
-        return p;
-      }
-    }
-    return nullptr;
-  }
-
-  std::vector<Message> sent;
-  std::vector<uint64_t> timers;
-};
 
 const QuorumConfig kQ3 = QuorumConfig::ForReplicas(3);
 const TxnId kTid{1, 1};
 const Timestamp kTs{100, 1};
 
-Message ValidateReplyMsg(ReplicaId from, TxnStatus status, EpochNum epoch = 0) {
+Message ValidateReplyMsg(ReplicaId from, TxnStatus status, EpochNum epoch = 0,
+                         TxnId tid = kTid) {
   Message msg;
   msg.src = Address::Replica(from);
   msg.dst = Address::Client(1);
-  msg.payload = ValidateReply{kTid, status, from, epoch};
+  msg.payload = ValidateReply{tid, status, from, epoch};
   return msg;
 }
 
@@ -70,16 +34,20 @@ Message AcceptReplyMsg(ReplicaId from, bool ok, ViewNum view = 0) {
 
 struct CoordinatorUnderTest {
   CapturingTransport transport;
-  std::optional<CommitOutcome> outcome;
-  std::unique_ptr<CommitCoordinator> coordinator;
+  CommitCoordinator coordinator;
 
-  explicit CoordinatorUnderTest(const RetryPolicy& retry = RetryPolicy::Disabled()) {
-    coordinator = std::make_unique<CommitCoordinator>(
-        &transport, Address::Client(1), kQ3, /*core=*/0, kTid, kTs,
-        std::vector<ReadSetEntry>{{"k", Timestamp{1, 0}}},
-        std::vector<WriteSetEntry>{{"k", "v"}}, retry, /*timer_base=*/100,
-        [this](const CommitOutcome& o) { outcome = o; });
-    coordinator->Start();
+  explicit CoordinatorUnderTest(const RetryPolicy& retry = RetryPolicy::Disabled())
+      : coordinator(&transport, Address::Client(1), kQ3, retry) {
+    coordinator.Start(/*core=*/0, kTid, kTs, {{"k", Timestamp{1, 0}}}, {{"k", "v"}},
+                      /*timer_base=*/100);
+  }
+
+  const CommitOutcome& outcome() const { return coordinator.outcome(); }
+
+  // What an owning session does once the coordinator is done and every other
+  // shard committed: the decision leaves only through BroadcastFinal.
+  void BroadcastOwnDecision() {
+    coordinator.BroadcastFinal(outcome().result == TxnResult::kCommit);
   }
 };
 
@@ -90,7 +58,7 @@ TEST(CommitCoordinatorTest, StartBroadcastsValidates) {
   ASSERT_NE(req, nullptr);
   EXPECT_EQ(req->tid, kTid);
   EXPECT_EQ(req->ts, kTs);
-  EXPECT_FALSE(t.coordinator->done());
+  EXPECT_FALSE(t.coordinator.done());
 }
 
 TEST(CommitCoordinatorTest, ValidateFanOutSharesOnePayload) {
@@ -116,9 +84,9 @@ TEST(CommitCoordinatorTest, ValidateFanOutSharesOnePayload) {
 TEST(CommitCoordinatorTest, AcceptFanOutSharesValidatePayload) {
   // The slow path's ACCEPTs share the same TxnSets the VALIDATEs carried.
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
-  t.coordinator->OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
+  t.coordinator.OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
   ASSERT_EQ(t.transport.Count<AcceptRequest>(), 3u);
   const auto* validate = t.transport.Last<ValidateRequest>();
   for (const Message& msg : t.transport.sent) {
@@ -130,14 +98,16 @@ TEST(CommitCoordinatorTest, AcceptFanOutSharesValidatePayload) {
 
 TEST(CommitCoordinatorTest, FastPathCommitOnSupermajority) {
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk));
-  EXPECT_FALSE(t.coordinator->done());  // 2 of 3: not yet a supermajority.
-  t.coordinator->OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kCommit);
-  EXPECT_TRUE(t.outcome->fast_path());
-  EXPECT_EQ(t.outcome->reason, AbortReason::kNone);
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk));
+  EXPECT_FALSE(t.coordinator.done());  // 2 of 3: not yet a supermajority.
+  t.coordinator.OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kCommit);
+  EXPECT_TRUE(t.outcome().fast_path());
+  EXPECT_EQ(t.outcome().reason, AbortReason::kNone);
+  EXPECT_EQ(t.transport.Count<CommitRequest>(), 0u);  // Deferred to the owner.
+  t.BroadcastOwnDecision();
   EXPECT_EQ(t.transport.Count<CommitRequest>(), 3u);
   EXPECT_TRUE(t.transport.Last<CommitRequest>()->commit);
   EXPECT_EQ(t.transport.Count<AcceptRequest>(), 0u);  // No slow path.
@@ -146,34 +116,36 @@ TEST(CommitCoordinatorTest, FastPathCommitOnSupermajority) {
 TEST(CommitCoordinatorTest, FastPathAbortOnSupermajorityAbort) {
   CoordinatorUnderTest t;
   for (ReplicaId r = 0; r < 3; r++) {
-    t.coordinator->OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedAbort));
+    t.coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedAbort));
   }
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kAbort);
-  EXPECT_TRUE(t.outcome->fast_path());
-  EXPECT_EQ(t.outcome->reason, AbortReason::kOccConflict);
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kAbort);
+  EXPECT_TRUE(t.outcome().fast_path());
+  EXPECT_EQ(t.outcome().reason, AbortReason::kOccConflict);
+  t.BroadcastOwnDecision();
   EXPECT_FALSE(t.transport.Last<CommitRequest>()->commit);
 }
 
 TEST(CommitCoordinatorTest, MixedVotesTakeSlowPathAndCommit) {
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk));
   // 2 matching OKs: the third reply could still complete a supermajority.
   EXPECT_EQ(t.transport.Count<AcceptRequest>(), 0u);
-  t.coordinator->OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedAbort));
+  t.coordinator.OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedAbort));
   // 2 OK + 1 ABORT: no supermajority; majority OK -> propose commit.
   EXPECT_EQ(t.transport.Count<AcceptRequest>(), 3u);
   EXPECT_TRUE(t.transport.Last<AcceptRequest>()->commit);
-  EXPECT_FALSE(t.coordinator->done());
+  EXPECT_FALSE(t.coordinator.done());
 
-  t.coordinator->OnMessage(AcceptReplyMsg(0, true));
-  EXPECT_FALSE(t.coordinator->done());
-  t.coordinator->OnMessage(AcceptReplyMsg(1, true));
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kCommit);
-  EXPECT_FALSE(t.outcome->fast_path());
-  EXPECT_EQ(t.outcome->path, CommitPath::kSlow);
+  t.coordinator.OnMessage(AcceptReplyMsg(0, true));
+  EXPECT_FALSE(t.coordinator.done());
+  t.coordinator.OnMessage(AcceptReplyMsg(1, true));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kCommit);
+  EXPECT_FALSE(t.outcome().fast_path());
+  EXPECT_EQ(t.outcome().path, CommitPath::kSlow);
+  t.BroadcastOwnDecision();
   EXPECT_EQ(t.transport.Count<CommitRequest>(), 3u);
 }
 
@@ -182,69 +154,71 @@ TEST(CommitCoordinatorTest, EarlySplitDecidesAtMajorityWithAbort) {
   // (2 replies) with fewer than f+1 OK votes legitimately proposes ABORT
   // without waiting for the straggler (paper §5.2.2 step 4).
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
   ASSERT_EQ(t.transport.Count<AcceptRequest>(), 3u);
   EXPECT_FALSE(t.transport.Last<AcceptRequest>()->commit);
 }
 
 TEST(CommitCoordinatorTest, MajorityAbortProposesAbort) {
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedAbort));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
-  t.coordinator->OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedAbort));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
+  t.coordinator.OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
   ASSERT_EQ(t.transport.Count<AcceptRequest>(), 3u);
   EXPECT_FALSE(t.transport.Last<AcceptRequest>()->commit);
-  t.coordinator->OnMessage(AcceptReplyMsg(0, true));
-  t.coordinator->OnMessage(AcceptReplyMsg(1, true));
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kAbort);
+  t.coordinator.OnMessage(AcceptReplyMsg(0, true));
+  t.coordinator.OnMessage(AcceptReplyMsg(1, true));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kAbort);
 }
 
 TEST(CommitCoordinatorTest, DuplicateRepliesDoNotFormQuorum) {
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  EXPECT_FALSE(t.coordinator->done());
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  EXPECT_FALSE(t.coordinator.done());
 }
 
 TEST(CommitCoordinatorTest, EpochSplitVotesNeverCombine) {
   // Two old-epoch OKs plus one new-epoch OK must not make a fast quorum: the
   // new epoch voids the earlier votes.
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk, /*epoch=*/0));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk, /*epoch=*/0));
-  t.coordinator->OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk, /*epoch=*/1));
-  EXPECT_FALSE(t.coordinator->done());
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk, /*epoch=*/0));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk, /*epoch=*/0));
+  t.coordinator.OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk, /*epoch=*/1));
+  EXPECT_FALSE(t.coordinator.done());
   // The same replicas re-answering in the new epoch completes it.
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk, /*epoch=*/1));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk, /*epoch=*/1));
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kCommit);
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk, /*epoch=*/1));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk, /*epoch=*/1));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kCommit);
 }
 
 TEST(CommitCoordinatorTest, SupersededBySufficientAcceptRejects) {
   CoordinatorUnderTest t;
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
-  t.coordinator->OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
+  t.coordinator.OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
   ASSERT_EQ(t.transport.Count<AcceptRequest>(), 3u);
   // Two replicas promised a higher view to a backup coordinator: with only
   // one replica left, a majority of accepts is impossible -> stand down.
-  t.coordinator->OnMessage(AcceptReplyMsg(0, false));
-  EXPECT_FALSE(t.coordinator->done());
-  t.coordinator->OnMessage(AcceptReplyMsg(1, false));
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kFailed);
+  t.coordinator.OnMessage(AcceptReplyMsg(0, false));
+  EXPECT_FALSE(t.coordinator.done());
+  t.coordinator.OnMessage(AcceptReplyMsg(1, false));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kFailed);
+  EXPECT_EQ(t.outcome().reason, AbortReason::kSuperseded);
+  EXPECT_EQ(t.transport.Count<CommitRequest>(), 0u);  // The backup owns the decision.
 }
 
 TEST(CommitCoordinatorTest, RetryTimerResendsToMissingReplicasOnly) {
   CoordinatorUnderTest t(RetryPolicy::WithTimeout(1000));
   ASSERT_EQ(t.transport.timers.size(), 1u);
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
   size_t before = t.transport.Count<ValidateRequest>();
-  t.coordinator->OnTimer(t.transport.timers[0]);
+  t.coordinator.OnTimer(t.transport.timers[0]);
   // Not enough replies for the slow path (needs a majority): re-validate the
   // two silent replicas only.
   EXPECT_EQ(t.transport.Count<ValidateRequest>(), before + 2);
@@ -252,20 +226,20 @@ TEST(CommitCoordinatorTest, RetryTimerResendsToMissingReplicasOnly) {
 
 TEST(CommitCoordinatorTest, TimerFallsBackToSlowPathWithMajority) {
   CoordinatorUnderTest t(RetryPolicy::WithTimeout(1000));
-  t.coordinator->OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
-  t.coordinator->OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk));
   // Replica 2 is down: the fast path (3 matching) will never materialize.
-  t.coordinator->OnTimer(t.transport.timers[0]);
+  t.coordinator.OnTimer(t.transport.timers[0]);
   EXPECT_EQ(t.transport.Count<AcceptRequest>(), 3u);
   EXPECT_TRUE(t.transport.Last<AcceptRequest>()->commit);
-  t.coordinator->OnMessage(AcceptReplyMsg(0, true));
-  t.coordinator->OnMessage(AcceptReplyMsg(1, true));
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kCommit);
-  EXPECT_FALSE(t.outcome->fast_path());
+  t.coordinator.OnMessage(AcceptReplyMsg(0, true));
+  t.coordinator.OnMessage(AcceptReplyMsg(1, true));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kCommit);
+  EXPECT_FALSE(t.outcome().fast_path());
   // Falling back to the slow path re-uses votes already in hand; nothing was
   // re-sent to the same replica, so it is not counted as a retransmission.
-  EXPECT_EQ(t.outcome->retransmits, 0u);
+  EXPECT_EQ(t.outcome().retransmits, 0u);
 }
 
 TEST(CommitCoordinatorTest, RetryExhaustionFails) {
@@ -273,23 +247,20 @@ TEST(CommitCoordinatorTest, RetryExhaustionFails) {
   retry.max_attempts = 5;
   CoordinatorUnderTest t(retry);
   for (uint32_t i = 0; i <= retry.max_attempts; i++) {
-    ASSERT_FALSE(t.coordinator->done()) << "failed early at retry " << i;
-    t.coordinator->OnTimer(100 + CommitCoordinator::kValidatePhaseTimer);
+    ASSERT_FALSE(t.coordinator.done()) << "failed early at retry " << i;
+    t.coordinator.OnTimer(100 + CommitCoordinator::kValidatePhaseTimer);
   }
-  ASSERT_TRUE(t.coordinator->done());
-  EXPECT_EQ(t.outcome->result, TxnResult::kFailed);
-  EXPECT_EQ(t.outcome->reason, AbortReason::kNoQuorum);
-  EXPECT_EQ(t.outcome->retransmits, retry.max_attempts);
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kFailed);
+  EXPECT_EQ(t.outcome().reason, AbortReason::kNoQuorum);
+  EXPECT_EQ(t.outcome().retransmits, retry.max_attempts);
 }
 
 TEST(CommitCoordinatorTest, ForcedSlowPathSkipsFastQuorum) {
   CapturingTransport transport;
-  std::optional<CommitOutcome> outcome;
-  CommitCoordinator coordinator(
-      &transport, Address::Client(1), kQ3, 0, kTid, kTs, {}, {{{"k"}, {"v"}}},
-      RetryPolicy::Disabled(), 100, [&outcome](const CommitOutcome& o) { outcome = o; });
+  CommitCoordinator coordinator(&transport, Address::Client(1), kQ3, RetryPolicy::Disabled());
   coordinator.set_force_slow_path(true);
-  coordinator.Start();
+  coordinator.Start(0, kTid, kTs, {}, {{{"k"}, {"v"}}}, 100);
   for (ReplicaId r = 0; r < 3; r++) {
     coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedOk));
   }
@@ -298,15 +269,13 @@ TEST(CommitCoordinatorTest, ForcedSlowPathSkipsFastQuorum) {
   coordinator.OnMessage(AcceptReplyMsg(0, true));
   coordinator.OnMessage(AcceptReplyMsg(1, true));
   ASSERT_TRUE(coordinator.done());
-  EXPECT_FALSE(outcome->fast_path());
+  EXPECT_FALSE(coordinator.outcome().fast_path());
 }
 
 TEST(CommitCoordinatorTest, DeferredModeWithholdsDecisionBroadcast) {
   CapturingTransport transport;
-  CommitCoordinator coordinator(&transport, Address::Client(1), kQ3, 0, kTid, kTs, {},
-                                {{{"k"}, {"v"}}}, RetryPolicy::Disabled(), 100, nullptr);
-  coordinator.set_defer_decision(true);
-  coordinator.Start();
+  CommitCoordinator coordinator(&transport, Address::Client(1), kQ3, RetryPolicy::Disabled());
+  coordinator.Start(0, kTid, kTs, {}, {{{"k"}, {"v"}}}, 100);
   for (ReplicaId r = 0; r < 3; r++) {
     coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedOk));
   }
@@ -318,12 +287,36 @@ TEST(CommitCoordinatorTest, DeferredModeWithholdsDecisionBroadcast) {
   EXPECT_FALSE(transport.Last<CommitRequest>()->commit);
 }
 
+TEST(CommitCoordinatorTest, StartResetsStateForNextTransaction) {
+  // Sessions keep one coordinator per shard across transactions: Start must
+  // forget the previous round's votes, epoch and outcome, and the previous
+  // transaction's late replies must not count toward the new quorum.
+  CoordinatorUnderTest t;
+  for (ReplicaId r = 0; r < 3; r++) {
+    t.coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedAbort, /*epoch=*/1));
+  }
+  ASSERT_TRUE(t.coordinator.done());
+  ASSERT_EQ(t.outcome().result, TxnResult::kAbort);
+
+  const TxnId next{1, 2};
+  t.coordinator.Start(0, next, Timestamp{200, 1}, {}, {{"k", "v2"}}, /*timer_base=*/104);
+  EXPECT_FALSE(t.coordinator.done());
+  EXPECT_EQ(t.transport.Last<ValidateRequest>()->tid, next);
+  EXPECT_FALSE(t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk)));
+  for (ReplicaId r = 0; r < 3; r++) {
+    EXPECT_FALSE(t.coordinator.done());
+    t.coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedOk, /*epoch=*/0, next));
+  }
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().result, TxnResult::kCommit);
+  EXPECT_TRUE(t.outcome().fast_path());
+  EXPECT_EQ(t.outcome().conflict_hash, 0u);
+}
+
 TEST(BackupCoordinatorTest, RebidsAboveCompetingView) {
   CapturingTransport transport;
-  std::optional<CommitOutcome> outcome;
   BackupCoordinator backup(&transport, Address::Client(1), kQ3, 0, kTid, /*view=*/1,
-                           RetryPolicy::Disabled(), /*timer_base=*/0,
-                           [&outcome](const CommitOutcome& o) { outcome = o; });
+                           RetryPolicy::Disabled(), /*timer_base=*/0);
   backup.Start();
   EXPECT_EQ(transport.Count<CoordChangeRequest>(), 3u);
   EXPECT_EQ(transport.Last<CoordChangeRequest>()->view, 1u);
@@ -344,10 +337,9 @@ TEST(BackupCoordinatorTest, RebidsAboveCompetingView) {
 
 TEST(BackupCoordinatorTest, GroupBaseAddressesCorrectShard) {
   CapturingTransport transport;
-  CommitCoordinator coordinator(&transport, Address::Client(1), kQ3, 0, kTid, kTs, {},
-                                {{{"k"}, {"v"}}}, RetryPolicy::Disabled(), 100, nullptr);
+  CommitCoordinator coordinator(&transport, Address::Client(1), kQ3, RetryPolicy::Disabled());
   coordinator.set_group_base(6);  // Shard 2 of an n=3 sharded deployment.
-  coordinator.Start();
+  coordinator.Start(0, kTid, kTs, {}, {{{"k"}, {"v"}}}, 100);
   for (const Message& msg : transport.sent) {
     EXPECT_GE(msg.dst.id, 6u);
     EXPECT_LE(msg.dst.id, 8u);

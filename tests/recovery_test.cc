@@ -254,18 +254,17 @@ TEST_F(CoordinatorRecoveryFixture, BackupCoordinatorCommitsOrphanedTxn) {
   };
   Backup backup;
   transport_.RegisterClient(97, &backup);
-  std::optional<TxnResult> outcome;
   backup.coordinator = std::make_unique<BackupCoordinator>(
       &transport_, Address::Client(97), quorum_, /*core=*/0, tid, /*view=*/1,
-      RetryPolicy::WithTimeout(200'000), /*timer_base=*/0,
-      [&outcome](const CommitOutcome& o) { outcome = o.result; });
+      RetryPolicy::WithTimeout(200'000), /*timer_base=*/0);
   SimActor* actor = transport_.ActorFor(Address::Client(97), 0);
   sim_.Schedule(sim_.now() + 1, actor, [&](SimContext&) { backup.coordinator->Start(); });
   sim_.Run();
+  ASSERT_TRUE(backup.coordinator->done());
+  TxnResult outcome = backup.coordinator->outcome().result;
 
   // VALIDATED-OK at a majority: priority 3 says commit.
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(*outcome, TxnResult::kCommit);
+  EXPECT_EQ(outcome, TxnResult::kCommit);
   for (ReplicaId r = 0; r < 3; r++) {
     EXPECT_EQ(ValueAt(r, "k"), "orphan") << "replica " << r;
     EXPECT_EQ(replicas_[r]->trecord().Partition(0).Find(tid)->status, TxnStatus::kCommitted);
@@ -290,18 +289,17 @@ TEST_F(CoordinatorRecoveryFixture, BackupCoordinatorAdoptsAcceptedOutcome) {
   };
   Backup backup;
   transport_.RegisterClient(97, &backup);
-  std::optional<TxnResult> outcome;
   backup.coordinator = std::make_unique<BackupCoordinator>(
       &transport_, Address::Client(97), quorum_, /*core=*/0, tid, /*view=*/1,
-      RetryPolicy::WithTimeout(200'000), /*timer_base=*/0,
-      [&outcome](const CommitOutcome& o) { outcome = o.result; });
+      RetryPolicy::WithTimeout(200'000), /*timer_base=*/0);
   SimActor* actor = transport_.ActorFor(Address::Client(97), 0);
   sim_.Schedule(sim_.now() + 1, actor, [&](SimContext&) { backup.coordinator->Start(); });
   sim_.Run();
+  ASSERT_TRUE(backup.coordinator->done());
+  TxnResult outcome = backup.coordinator->outcome().result;
 
   // Priority 2: the accepted ACCEPT-COMMIT proposal must be preserved.
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(*outcome, TxnResult::kCommit);
+  EXPECT_EQ(outcome, TxnResult::kCommit);
   EXPECT_EQ(ValueAt(1, "k"), "orphan");
 }
 

@@ -7,7 +7,8 @@
 //  * Threaded runs: real threads and real locks, including runs under message
 //    drop/delay/duplication (Meerkat's asynchronous-network assumption).
 //
-// All four systems must produce one-copy-serializable histories on all seeds.
+// All four systems must produce one-copy-serializable histories on all seeds,
+// and so must a sharded Meerkat deployment whose transactions span shards.
 
 #include <gtest/gtest.h>
 
@@ -20,20 +21,9 @@
 namespace meerkat {
 namespace {
 
-class SerializabilitySimTest
-    : public ::testing::TestWithParam<std::tuple<SystemKind, double, uint64_t, bool>> {};
-
-TEST_P(SerializabilitySimTest, HotKeyspaceHistoryIsSerializable) {
-  auto [kind, theta, seed, cache_on] = GetParam();
-
-  SystemOptions sys = DefaultOptions(kind, /*cores=*/4);
-  if (cache_on) {
-    // Adversarial cache configuration: leases far longer than the run so
-    // every entry that CAN go stale DOES serve stale, and commit-time OCC
-    // validation is the only thing standing between a stale read and a
-    // committed violation (the checker would report it).
-    sys.cache = CacheOptions().WithEnabled(true).WithLease(1'000'000'000);
-  }
+// Closed loops under the simulator, wired manually so every commit routes
+// through the checker; fails on any violation in the resulting history.
+void CheckSimHistory(const SystemOptions& sys, const YcsbTOptions& y, uint64_t seed) {
   Simulator sim(sys.cost);
   SimTransport transport(&sim);
   // Jitter reorders messages so replicas validate in different orders —
@@ -42,12 +32,6 @@ TEST_P(SerializabilitySimTest, HotKeyspaceHistoryIsSerializable) {
   SimTimeSource time_source(&sim);
   auto system = CreateSystem(sys, &transport, &time_source);
 
-  // Tiny keyspace = constant conflicts.
-  YcsbTOptions y;
-  y.num_keys = 16;
-  y.zipf_theta = theta;
-  y.key_size = 8;
-  y.value_size = 8;
   YcsbTWorkload workload(y);
 
   SerializabilityChecker checker;
@@ -63,7 +47,6 @@ TEST_P(SerializabilitySimTest, HotKeyspaceHistoryIsSerializable) {
   run.seed = seed;
   run.load_initial_keys = false;
 
-  // Closed loops wired manually so every commit routes through the checker.
   std::vector<std::unique_ptr<ClientSession>> sessions;
   std::vector<Rng> rngs;
   struct Loop {
@@ -107,6 +90,37 @@ TEST_P(SerializabilitySimTest, HotKeyspaceHistoryIsSerializable) {
   EXPECT_TRUE(violations.empty()) << checker.CommittedCount() << " committed txns";
 }
 
+// Adversarial cache configuration: leases far longer than the run so every
+// entry that CAN go stale DOES serve stale, and commit-time OCC validation is
+// the only thing standing between a stale read and a committed violation (the
+// checker would report it).
+CacheOptions StaleProneCache() {
+  return CacheOptions().WithEnabled(true).WithLease(1'000'000'000);
+}
+
+// Tiny keyspace = constant conflicts.
+YcsbTOptions HotKeyspace(double theta, size_t rmws_per_txn) {
+  YcsbTOptions y;
+  y.num_keys = 16;
+  y.zipf_theta = theta;
+  y.key_size = 8;
+  y.value_size = 8;
+  y.rmws_per_txn = rmws_per_txn;
+  return y;
+}
+
+class SerializabilitySimTest
+    : public ::testing::TestWithParam<std::tuple<SystemKind, double, uint64_t, bool>> {};
+
+TEST_P(SerializabilitySimTest, HotKeyspaceHistoryIsSerializable) {
+  auto [kind, theta, seed, cache_on] = GetParam();
+  SystemOptions sys = DefaultOptions(kind, /*cores=*/4);
+  if (cache_on) {
+    sys.cache = StaleProneCache();
+  }
+  CheckSimHistory(sys, HotKeyspace(theta, /*rmws_per_txn=*/1), seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Contended, SerializabilitySimTest,
     ::testing::Combine(::testing::Values(SystemKind::kMeerkat, SystemKind::kMeerkatPb,
@@ -124,6 +138,20 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.9), ::testing::Values<uint64_t>(1, 2, 3),
                        ::testing::Values(true)));
 
+// Cross-shard cells (paper §5.2.4): three Meerkat shards and two RMWs per
+// transaction, so most commits span shards and run the atomic-commitment
+// step, with the shared cache off and on.
+TEST(SerializabilityShardedTest, SimCrossShardHistoryIsSerializable) {
+  CheckSimHistory(DefaultOptions(SystemKind::kMeerkat, /*cores=*/4).WithShards(3),
+                  HotKeyspace(/*theta=*/0.0, /*rmws_per_txn=*/2), /*seed=*/1);
+}
+
+TEST(SerializabilityShardedTest, SimCachedCrossShardHistoryIsSerializable) {
+  SystemOptions sys = DefaultOptions(SystemKind::kMeerkat, /*cores=*/4).WithShards(3);
+  sys.cache = StaleProneCache();
+  CheckSimHistory(sys, HotKeyspace(/*theta=*/0.0, /*rmws_per_txn=*/2), /*seed=*/1);
+}
+
 // Threaded runtime: real concurrency, optional fault injection.
 struct ThreadedCase {
   SystemKind kind;
@@ -134,25 +162,17 @@ struct ThreadedCase {
 
 class SerializabilityThreadedTest : public ::testing::TestWithParam<ThreadedCase> {};
 
-TEST_P(SerializabilityThreadedTest, ConcurrentHistoryIsSerializable) {
-  ThreadedCase param = GetParam();
-  SystemOptions sys = DefaultOptions(param.kind, /*cores=*/2);
+// Threaded closed loops (the workload driver) with optional loss, delay and
+// duplication; fails on any violation in the resulting history.
+void CheckThreadedHistory(SystemOptions sys, const YcsbTOptions& y, double drop_probability,
+                          uint64_t max_extra_delay_ns) {
   // Retries are required under drops.
   sys.retry = RetryPolicy::WithTimeout(3'000'000);  // 3 ms.
-  if (param.cache) {
-    sys.cache = CacheOptions().WithEnabled(true).WithLease(1'000'000'000);
-  }
-
   ThreadedHarness h(sys);
-  h.transport().faults().SetDropProbability(param.drop_probability);
-  h.transport().faults().SetMaxExtraDelay(param.max_extra_delay_ns);
-  h.transport().faults().SetDuplicateProbability(param.drop_probability / 2);
+  h.transport().faults().SetDropProbability(drop_probability);
+  h.transport().faults().SetMaxExtraDelay(max_extra_delay_ns);
+  h.transport().faults().SetDuplicateProbability(drop_probability / 2);
 
-  YcsbTOptions y;
-  y.num_keys = 12;
-  y.zipf_theta = 0.0;
-  y.key_size = 8;
-  y.value_size = 8;
   YcsbTWorkload workload(y);
 
   SerializabilityChecker checker;
@@ -179,6 +199,26 @@ TEST_P(SerializabilityThreadedTest, ConcurrentHistoryIsSerializable) {
     ADD_FAILURE() << v;
   }
   EXPECT_TRUE(violations.empty()) << checker.CommittedCount() << " committed txns";
+}
+
+YcsbTOptions ThreadedKeyspace(size_t rmws_per_txn) {
+  YcsbTOptions y;
+  y.num_keys = 12;
+  y.zipf_theta = 0.0;
+  y.key_size = 8;
+  y.value_size = 8;
+  y.rmws_per_txn = rmws_per_txn;
+  return y;
+}
+
+TEST_P(SerializabilityThreadedTest, ConcurrentHistoryIsSerializable) {
+  ThreadedCase param = GetParam();
+  SystemOptions sys = DefaultOptions(param.kind, /*cores=*/2);
+  if (param.cache) {
+    sys.cache = StaleProneCache();
+  }
+  CheckThreadedHistory(sys, ThreadedKeyspace(/*rmws_per_txn=*/1), param.drop_probability,
+                       param.max_extra_delay_ns);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -210,6 +250,15 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Cross-shard cell on real threads, without loss: if a decision is lost at a
+// majority of one shard, that shard's orphan sweep decides alone — a
+// documented limitation (DESIGN.md §7) — so the lossy cells stay single-shard.
+TEST(SerializabilityShardedTest, ThreadedCrossShardHistoryIsSerializable) {
+  CheckThreadedHistory(DefaultOptions(SystemKind::kMeerkat, /*cores=*/2).WithShards(3),
+                       ThreadedKeyspace(/*rmws_per_txn=*/2), /*drop_probability=*/0.0,
+                       /*max_extra_delay_ns=*/0);
+}
 
 }  // namespace
 }  // namespace meerkat

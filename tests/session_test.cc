@@ -1,9 +1,12 @@
 // Session-level behaviour tests: execute-phase mechanics (read-your-writes,
-// read caching, transforms), retry/timeout behaviour under faults, and stats
-// accounting — all under the deterministic simulator.
+// read caching, transforms), retry/timeout behaviour under faults, stats
+// accounting, and an allocation audit of the commit path — all under the
+// deterministic simulator.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <new>
 #include <optional>
 
 #include "src/protocol/replica.h"
@@ -11,6 +14,25 @@
 #include "src/sim/sim_time_source.h"
 #include "src/transport/sim_transport.h"
 #include "tests/test_util.h"
+
+// Thread-local allocation counter wired into global operator new (same
+// pattern as the client-cache scratch-table audit): the simulator runs every
+// actor on the test thread, so the counter sees one commit end to end.
+namespace {
+thread_local int64_t t_alloc_count = 0;
+}  // namespace
+
+__attribute__((noinline)) void* operator new(size_t size) {
+  t_alloc_count++;
+  void* p = std::malloc(size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace meerkat {
 namespace {
@@ -175,6 +197,35 @@ TEST_F(SessionFixture, StatsLatencyCountsEveryAttempt) {
   }
   EXPECT_EQ(session->stats().commit_latency.Count(), 3u);
   EXPECT_GT(session->stats().commit_latency.MeanNanos(), 0.0);
+}
+
+TEST_F(SessionFixture, SteadyStateCommitAllocationsBounded) {
+  // Allocation audit of the client commit path: operator new calls per
+  // steady-state single-key RMW commit, counted across the whole simulated
+  // round (session, coordinator, transport, replicas). The bound, 24, is the
+  // count this test measured while every commit still heap-allocated its
+  // coordinator; coordinator slots reused across transactions must not make
+  // it worse.
+  constexpr double kAllocsPerCommitBound = 24;
+  Load("k", "v");
+  auto session = MakeSession();
+  auto commit_once = [&] {
+    TxnPlan plan;
+    plan.ops.push_back(Op::Rmw("k", "value"));
+    ASSERT_EQ(RunTxn(*session, std::move(plan)), TxnResult::kCommit);
+  };
+  for (int i = 0; i < 20; i++) {
+    commit_once();  // Warm-up: grows tables, rings and per-thread slabs.
+  }
+  constexpr int kCommits = 100;
+  int64_t before = t_alloc_count;
+  for (int i = 0; i < kCommits; i++) {
+    commit_once();
+  }
+  double per_commit = static_cast<double>(t_alloc_count - before) / kCommits;
+  RecordProperty("allocs_per_commit", std::to_string(per_commit));
+  std::printf("allocs per commit: %.2f\n", per_commit);
+  EXPECT_LE(per_commit, kAllocsPerCommitBound);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Distributed transactions on the threaded runtime: real threads, real
-// locks, cross-shard invariant conservation under concurrency.
+// locks, cross-shard invariant conservation under concurrency, on a sharded
+// system built by CreateSystem.
 
 #include <gtest/gtest.h>
 
@@ -8,27 +9,24 @@
 #include <mutex>
 #include <thread>
 
-#include "src/protocol/sharded.h"
-#include "src/transport/threaded_transport.h"
+#include "src/common/trace.h"
+#include "tests/test_util.h"
 
 namespace meerkat {
 namespace {
 
+constexpr size_t kShards = 2;
+constexpr size_t kReplicas = 3;
+
 class ShardedThreadedFixture : public ::testing::Test {
  protected:
-  ShardedThreadedFixture() {
-    ShardedOptions options;
-    options.num_shards = 2;
-    options.system.quorum = QuorumConfig::ForReplicas(3);
-    options.system.cores_per_replica = 2;
-    options.system.retry = RetryPolicy::WithTimeout(3'000'000);
-    cluster_ = std::make_unique<ShardedCluster>(options, &transport_);
-  }
+  ShardedThreadedFixture()
+      : h_(DefaultOptions(SystemKind::kMeerkat)
+               .WithShards(kShards)
+               .WithRetry(RetryPolicy::WithTimeout(3'000'000))) {}
 
-  ~ShardedThreadedFixture() override { transport_.Stop(); }
-
-  // Blocking one-shot transaction through a fresh session.
-  TxnResult Run(ShardedSession& session, TxnPlan plan) {
+  // Blocking one-shot transaction through `session`.
+  TxnResult Run(ClientSession& session, TxnPlan plan) {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -51,45 +49,59 @@ class ShardedThreadedFixture : public ::testing::Test {
     std::string a = "alpha";
     for (int i = 0; i < 1000; i++) {
       std::string b = "beta" + std::to_string(i);
-      if (cluster_->ShardForKey(b) != cluster_->ShardForKey(a)) {
+      if (ShardForKey(b, kShards) != ShardForKey(a, kShards)) {
         return {a, b};
       }
     }
     return {a, a};
   }
 
-  ThreadedTransport transport_;
-  SystemTimeSource time_source_;
-  std::unique_ptr<ShardedCluster> cluster_;
+  // Committed value of `key` at replica `r` of its shard.
+  std::string ValueAt(const std::string& key, ReplicaId r) {
+    ReplicaId base = static_cast<ReplicaId>(ShardForKey(key, kShards) * kReplicas);
+    return h_.system().ReadAtReplica(base + r, key).value;
+  }
+
+  ThreadedHarness h_;
 };
 
 TEST_F(ShardedThreadedFixture, CrossShardCommitOnRealThreads) {
   auto [a, b] = CrossShardKeys();
-  cluster_->Load(a, "0");
-  cluster_->Load(b, "0");
-  ShardedSession session(1, &transport_, &time_source_, cluster_.get(), 7);
+  h_.system().Load(a, "0");
+  h_.system().Load(b, "0");
+  auto session = h_.MakeSession(1, 7);
   TxnPlan plan;
   plan.ops.push_back(Op::Rmw(a, "1"));
   plan.ops.push_back(Op::Rmw(b, "1"));
-  ASSERT_EQ(Run(session, plan), TxnResult::kCommit);
-  EXPECT_EQ(session.last_shard_count(), 2u);
-  transport_.DrainForTesting();
-  EXPECT_EQ(cluster_->ReadAt(cluster_->ShardForKey(a), 0, a).value, "1");
-  EXPECT_EQ(cluster_->ReadAt(cluster_->ShardForKey(b), 1, b).value, "1");
+  ASSERT_EQ(Run(*session, plan), TxnResult::kCommit);
+  if (MEERKAT_TRACE) {
+    size_t validate_fanouts = 0;
+    for (const TraceEvent& event : CollectTrace(session->last_tid())) {
+      validate_fanouts += event.step == TraceStep::kValidateSent ? 1 : 0;
+    }
+    EXPECT_EQ(validate_fanouts, kShards);  // One per involved shard.
+  }
+  h_.transport().DrainForTesting();
+  EXPECT_EQ(ValueAt(a, 0), "1");
+  EXPECT_EQ(ValueAt(b, 1), "1");
 }
 
 TEST_F(ShardedThreadedFixture, ConcurrentCrossShardTransfersConserveTotal) {
   auto [a, b] = CrossShardKeys();
-  cluster_->Load(a, "1000");
-  cluster_->Load(b, "1000");
+  h_.system().Load(a, "1000");
+  h_.system().Load(b, "1000");
 
   constexpr int kThreads = 3;
+  std::vector<std::unique_ptr<ClientSession>> sessions;
+  for (int t = 0; t < kThreads; t++) {
+    sessions.push_back(
+        h_.MakeSession(static_cast<uint32_t>(t + 1), static_cast<uint64_t>(t) * 13 + 5));
+  }
   std::atomic<int> commits{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; t++) {
     threads.emplace_back([&, t] {
-      ShardedSession session(static_cast<uint32_t>(t + 1), &transport_, &time_source_,
-                             cluster_.get(), static_cast<uint64_t>(t) * 13 + 5);
+      ClientSession& session = *sessions[t];
       Rng rng(static_cast<uint64_t>(t) + 99);
       for (int i = 0; i < 25; i++) {
         int64_t amount = static_cast<int64_t>(rng.NextInRange(1, 9));
@@ -112,12 +124,11 @@ TEST_F(ShardedThreadedFixture, ConcurrentCrossShardTransfersConserveTotal) {
   for (auto& thread : threads) {
     thread.join();
   }
-  transport_.DrainForTesting();
+  h_.transport().DrainForTesting();
   EXPECT_GT(commits.load(), 0);
   // The cross-shard invariant: totals conserved on every replica pair.
-  for (ReplicaId r = 0; r < 3; r++) {
-    int64_t total = std::stoll(cluster_->ReadAt(cluster_->ShardForKey(a), r, a).value) +
-                    std::stoll(cluster_->ReadAt(cluster_->ShardForKey(b), r, b).value);
+  for (ReplicaId r = 0; r < kReplicas; r++) {
+    int64_t total = std::stoll(ValueAt(a, r)) + std::stoll(ValueAt(b, r));
     EXPECT_EQ(total, 2000) << "replica " << r;
   }
 }

@@ -7,6 +7,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "src/api/system.h"
 #include "src/sim/sim_time_source.h"
@@ -115,6 +118,43 @@ class UdpHarness {
   UdpTransport transport_;
   SystemTimeSource time_source_;
   std::unique_ptr<System> system_;
+};
+
+// Records outbound messages and armed timers; delivers nothing. Tests drive
+// a coordinator or session on it by hand with synthetic replies.
+class CapturingTransport : public Transport {
+ public:
+  void RegisterReplica(ReplicaId, CoreId, TransportReceiver*) override {}
+  void RegisterClient(uint32_t, TransportReceiver*) override {}
+  void UnregisterClient(uint32_t) override {}
+  void Send(Message msg) override { sent.push_back(std::move(msg)); }
+  void SetTimer(const Address&, CoreId, uint64_t, uint64_t timer_id) override {
+    timers.push_back(timer_id);
+  }
+
+  template <typename T>
+  size_t Count() const {
+    size_t n = 0;
+    for (const Message& msg : sent) {
+      if (std::holds_alternative<T>(msg.payload)) {
+        n++;
+      }
+    }
+    return n;
+  }
+
+  template <typename T>
+  const T* Last() const {
+    for (auto it = sent.rbegin(); it != sent.rend(); ++it) {
+      if (const T* p = std::get_if<T>(&it->payload)) {
+        return p;
+      }
+    }
+    return nullptr;
+  }
+
+  std::vector<Message> sent;
+  std::vector<uint64_t> timers;
 };
 
 inline SystemOptions DefaultOptions(SystemKind kind, size_t cores = 2, size_t replicas = 3) {
