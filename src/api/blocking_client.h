@@ -91,12 +91,15 @@ class BlockingClient {
     return outcome;
   }
 
-  // Single-key transactional read: nullopt if the transaction could not
-  // commit or the key does not exist.
+  // Single-key transactional read, retried through ExecuteWithRetry: a read
+  // can abort for a reason unrelated to the key's existence — a replica that
+  // has not yet applied an earlier committed write (COMMIT is asynchronous)
+  // votes abort on the pending writer. nullopt means the key does not exist,
+  // or the read failed or exhausted its retry budget.
   std::optional<std::string> Get(const std::string& key) {
     TxnPlan plan;
     plan.ops.push_back(Op::Get(key));
-    if (!Execute(plan).committed()) {
+    if (!ExecuteWithRetry(plan).committed()) {
       return std::nullopt;
     }
     std::optional<std::string> value = session_->last_read_value(key);

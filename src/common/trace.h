@@ -41,7 +41,7 @@ enum class TraceStep : uint8_t {
   kTxnStart = 0,
   kGetSent,
   kGetReply,
-  kValidateSent,
+  kValidateSent,      // One per VALIDATE fan-out (arg: retransmission round, 0 = first).
   kValidateReply,
   kFastPathDecision,
   kAcceptSent,

@@ -110,7 +110,7 @@ void CommitCoordinator::SendValidates(bool only_missing) {
   if (sent > 1) {
     LocalFastPathCounters().payload_fanout_shares += sent - 1;
   }
-  TraceRecord(tid_, TraceStep::kValidateSent, static_cast<uint32_t>(quorum_.n));
+  TraceRecord(tid_, TraceStep::kValidateSent, retries_);
 }
 
 void CommitCoordinator::SendAccepts() {

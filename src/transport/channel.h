@@ -1,16 +1,16 @@
 // Bounded-ish MPSC channel used by the threaded transport: many producer
 // threads (senders, timer thread) and one consumer (the endpoint's worker).
 //
-// On this project's target (in-process message passing) a mutex + deque +
-// condvar channel is the right tool: the consumer blocks when idle instead of
-// burning the (single) physical core the way a polling ring would. The fast
-// path is tuned around that core:
+// A mutex + deque + condvar channel whose consumer spins, then parks
+// (spin_then_park.h): after each drain it probes the lock-free mirrors for
+// the next item for a short window, yielding between probes, so back-to-back
+// messages never pay a condvar wake-up; an idle consumer parks instead of
+// burning a core. The fast path:
 //   * PopAll drains the whole backlog under ONE lock acquisition, so a
 //     consumer that fell behind pays one mutex round-trip for N messages
 //     instead of N.
-//   * The consumer spins briefly on the lock-free `approx_size_` /
-//     `closed_flag_` atomics before parking, so a message that arrives within
-//     the spin window never pays the condvar wakeup.
+//   * The probe reads only the `approx_size_` / `closed_flag_` atomics: no
+//     lock and no cache-line writes while the consumer waits.
 //   * Producers skip the condvar notify entirely when no consumer is parked
 //     (`waiters_` is maintained under the same mutex, so there is no lost
 //     wakeup: a consumer registers as a waiter before releasing the mutex a
@@ -33,6 +33,7 @@
 
 #include "src/common/annotations.h"
 #include "src/common/stats.h"
+#include "src/transport/spin_then_park.h"
 
 namespace meerkat {
 
@@ -54,19 +55,6 @@ class Channel {
   Channel() = default;
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-
-  // Spin budget for the consumer's pre-park phase. On a single-CPU host the
-  // producer cannot make progress while the consumer spins, so the budget is
-  // zero there — spinning would only delay the very Push being waited for
-  // (the 1-CPU threaded-test load flake). Exposed per-host for the regression
-  // test that pins the clamp.
-  static constexpr int SpinIterationsForHost(unsigned hardware_concurrency) {
-    return hardware_concurrency <= 1 ? 0 : kSpinIterations;
-  }
-  static int SpinIterations() {
-    static const int n = SpinIterationsForHost(std::thread::hardware_concurrency());
-    return n;
-  }
 
   // Returns false if the channel is closed.
   bool Push(T item) EXCLUDES(mu_) {
@@ -166,24 +154,18 @@ class Channel {
   }
 
   // Drains every queued item into `out` (cleared first) under a single lock
-  // acquisition, blocking until at least one item is available. Spins briefly
-  // on the lock-free size/closed atomics before parking on the condvar.
-  // Returns false only when the channel is closed AND fully drained — the
-  // consumer's termination condition. FIFO order is preserved.
+  // acquisition, blocking until at least one item is available: it probes
+  // the lock-free size/closed atomics for the probe window (zero on a
+  // single-CPU host), then parks on the condvar. Returns false only when the
+  // channel is closed AND fully drained — the consumer's termination
+  // condition. FIFO order is preserved. The returned batch counts as in
+  // delivery (see Idle) until the consumer's next PopAll.
   bool PopAll(std::vector<T>& out) EXCLUDES(mu_) {
     out.clear();
-    // Spin phase: no lock, no cache-line writes — just acquire loads. The
-    // budget is zero on single-CPU hosts (see SpinIterationsForHost).
-    const int spin = SpinIterations();
-    for (int i = 0; i < spin; i++) {
-      if (approx_size_.load(std::memory_order_acquire) > 0 ||
-          closed_flag_.load(std::memory_order_acquire)) {
-        break;
-      }
-      channel_internal::CpuRelax();
-    }
+    ProbeBeforePark([this] { return ReadyToPop(); });
     {
       MutexLock lock(mu_);
+      delivering_ = false;
       waiters_++;
       while (items_.empty() && !closed_) {
         cv_.Wait(mu_);
@@ -197,6 +179,7 @@ class Channel {
         items_.pop_front();
       }
       approx_size_.store(0, std::memory_order_release);
+      delivering_ = true;
     }
     FastPathCounters& c = LocalFastPathCounters();
     c.channel_batches++;
@@ -242,18 +225,31 @@ class Channel {
     return items_.size();
   }
 
+  // True when nothing is queued and no batch handed out by PopAll is still
+  // being consumed — the consumer has come back for more (or never took
+  // any). A test quiesce needs both: a popped batch can still enqueue work
+  // for other channels.
+  bool Idle() const EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return items_.empty() && !delivering_;
+  }
+
  private:
-  // ~100ns-1us of spinning before parking: long enough to catch a producer
-  // already mid-Push, short enough not to matter when the channel is idle.
-  static constexpr int kSpinIterations = 128;
+  // The consumer's probe: acquire loads of the lock-free mirrors only — no
+  // lock, no cache-line writes.
+  bool ReadyToPop() const {
+    return approx_size_.load(std::memory_order_acquire) > 0 ||
+           closed_flag_.load(std::memory_order_acquire);
+  }
 
   mutable Mutex mu_;
   CondVar cv_;
   std::deque<T> items_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;
   int waiters_ GUARDED_BY(mu_) = 0;  // Consumers parked (or about to park).
+  bool delivering_ GUARDED_BY(mu_) = false;  // PopAll's last batch not yet consumed.
 
-  // Lock-free mirrors for the consumer's spin phase. approx_size_ may lag the
+  // Lock-free mirrors for the consumer's probe. approx_size_ may lag the
   // deque (it is only a hint); closed_flag_ mirrors closed_ exactly.
   std::atomic<size_t> approx_size_{0};
   std::atomic<bool> closed_flag_{false};

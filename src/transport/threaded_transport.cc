@@ -320,17 +320,19 @@ void ThreadedTransport::Stop() {
 }
 
 void ThreadedTransport::DrainForTesting() {
-  // Two sweeps: a message observed in-flight in sweep one may enqueue work
-  // for another endpoint; repeated empty sweeps make that unlikely enough
-  // for test purposes.
+  // Quiesced = every inbox empty with no popped batch still in delivery, and
+  // the timer heap empty — on kDrainIdleSweeps consecutive sweeps, since a
+  // delivery or a timer seen in one sweep may enqueue work for another
+  // endpoint before the next.
+  int idle_sweeps = 0;
   for (int round = 0; round < 50; round++) {
-    bool all_empty = true;
+    bool all_idle = true;
     {
       MutexLock lock(endpoints_mu_);
       for (auto& [key, ep] : endpoints_) {
         (void)key;
-        if (ep->inbox.Size() != 0) {
-          all_empty = false;
+        if (!ep->inbox.Idle()) {
+          all_idle = false;
           break;
         }
       }
@@ -338,10 +340,11 @@ void ThreadedTransport::DrainForTesting() {
     {
       MutexLock lock(timer_mu_);
       if (!timer_heap_.empty()) {
-        all_empty = false;
+        all_idle = false;
       }
     }
-    if (all_empty && round >= 2) {
+    idle_sweeps = all_idle ? idle_sweeps + 1 : 0;
+    if (idle_sweeps == kDrainIdleSweeps) {
       return;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -54,8 +54,10 @@ class ThreadedTransport : public Transport {
   // the destructor. After Stop, Send is a no-op.
   void Stop();
 
-  // Blocks until every inbox is momentarily empty — a best-effort quiesce used
-  // by tests that want asynchronous commit messages applied before asserting.
+  // Blocks until every inbox is empty, with no popped batch still in delivery
+  // and no pending timer, on kDrainIdleSweeps consecutive sweeps (or ~100 ms
+  // pass) — a best-effort quiesce used by tests and benches that want
+  // asynchronous commit messages applied before asserting.
   void DrainForTesting();
 
  private:

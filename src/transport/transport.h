@@ -100,6 +100,11 @@ inline uint64_t PackEndpointKey(const Address& addr, CoreId core) {
          core;
 }
 
+// How many consecutive idle sweeps (2 ms apart) a real-clock transport's
+// DrainForTesting must observe before it returns: one idle sweep can fall
+// between a delivery and the work it enqueues elsewhere.
+inline constexpr int kDrainIdleSweeps = 3;
+
 // Handler for inbound messages. Implementations must be safe to call from the
 // transport's delivery context (a core worker thread in the threaded runtime;
 // the simulator's event loop in the simulated runtime).

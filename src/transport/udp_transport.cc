@@ -18,6 +18,7 @@
 #include "src/common/metrics.h"
 #include "src/common/trace.h"
 #include "src/transport/serialization.h"
+#include "src/transport/spin_then_park.h"
 
 #ifndef SO_ATTACH_REUSEPORT_CBPF
 #define SO_ATTACH_REUSEPORT_CBPF 51
@@ -659,6 +660,15 @@ void UdpTransport::PollerLoop(Endpoint* ep) {
   // for the vector itself).
   std::vector<Message> inbox;
   ::pollfd pfd{ep->fd, POLLIN, 0};
+  // Spin-then-park (spin_then_park.h): after a drain, keep probing with
+  // non-blocking drains before parking in poll() again. Stop and pause end
+  // the probe before it touches the socket.
+  auto probe = [&] {
+    return ep->stop.load(std::memory_order_acquire) ||
+           pollers_paused_.load(std::memory_order_acquire) ||
+           DrainReadySocket(ep, slab.get(), hdrs, &inbox) > 0;
+  };
+  bool drained = false;
   while (!ep->stop.load(std::memory_order_acquire)) {
     if (pollers_paused_.load(std::memory_order_acquire)) {
       // Parked for a send-path bench: sleep instead of draining so receive
@@ -667,13 +677,19 @@ void UdpTransport::PollerLoop(Endpoint* ep) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       continue;
     }
+    if (drained && ProbeBeforePark(probe)) {
+      continue;  // Took more datagrams (or is stopping): probe afresh.
+    }
+    drained = false;
     pfd.revents = 0;
-    // Finite timeout so a lost wake datagram can never wedge shutdown.
+    // Finite timeout so a lost wake datagram can never wedge shutdown. A
+    // poller paused while parked must not dispatch the datagram that woke it.
     int pr = ::poll(&pfd, 1, 100);
-    if (pr <= 0) {
+    if (pr <= 0 || pollers_paused_.load(std::memory_order_acquire)) {
       continue;
     }
     DrainReadySocket(ep, slab.get(), hdrs, &inbox);
+    drained = true;
   }
 }
 
@@ -681,10 +697,11 @@ void UdpTransport::SetPollersPausedForTesting(bool paused) {
   pollers_paused_.store(paused, std::memory_order_release);
 }
 
-ZCP_FAST_PATH void UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
-                                                  ::mmsghdr* hdrs,
-                                                  std::vector<Message>* inbox) {
+ZCP_FAST_PATH size_t UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
+                                                    ::mmsghdr* hdrs,
+                                                    std::vector<Message>* inbox) {
   const BatchOptions opts = batch_options();
+  size_t taken = 0;
   // Drain until EAGAIN: one poll wakeup handles the whole backlog, and the
   // batch-size histogram records how much each recvmmsg amortized.
   for (;;) {
@@ -699,8 +716,9 @@ ZCP_FAST_PATH void UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
       if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
         MetricIncr(kRecvErrors);
       }
-      return;
+      return taken;
     }
+    taken += static_cast<size_t>(n);
     MetricRecordValue(kRecvBatchSize, static_cast<uint64_t>(n));
     TransportReceiver* receiver = ep->receiver.load(std::memory_order_seq_cst);
     inbox->clear();
@@ -832,8 +850,9 @@ void UdpTransport::Stop() {
 
 void UdpTransport::DrainForTesting() {
   // Quiesced = kernel receive queues empty, no dispatch in flight, timer
-  // heap empty — observed on a few consecutive sweeps, since a message seen
-  // mid-flight can enqueue work for another endpoint.
+  // heap empty — on kDrainIdleSweeps consecutive sweeps, since a message
+  // seen mid-flight can enqueue work for another endpoint.
+  int idle_sweeps = 0;
   for (int round = 0; round < 500; round++) {
     bool all_idle = true;
     {
@@ -857,7 +876,8 @@ void UdpTransport::DrainForTesting() {
         all_idle = false;
       }
     }
-    if (all_idle && round >= 3) {
+    idle_sweeps = all_idle ? idle_sweeps + 1 : 0;
+    if (idle_sweeps == kDrainIdleSweeps) {
       return;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -24,7 +24,10 @@
 // The data path is allocation-free and syscall-batched at steady state:
 // senders encode into per-thread reusable buffers (WireWriter::Reset /
 // EncodeMessageInto) and flush a whole fan-out with one sendmmsg; pollers
-// recvmmsg into a pooled receive slab and decode straight out of it.
+// recvmmsg into a pooled receive slab and decode straight out of it. A
+// poller spins, then parks (spin_then_park.h): after each drain it retries
+// non-blocking drains for a short window, yielding between them, and only
+// then blocks in poll() — so back-to-back datagrams skip the wake-up.
 // Per-core MetricsRegistry counters track batch sizes, EAGAIN stalls, and
 // every class of datagram drop.
 //
@@ -89,8 +92,9 @@ class UdpTransport : public Transport {
   void Stop();
 
   // Best-effort quiesce: returns once kernel receive queues, the timer heap,
-  // and in-flight dispatches have been observed empty for a few consecutive
-  // sweeps. Used by tests before asserting on asynchronously applied state.
+  // and in-flight dispatches have been observed empty on kDrainIdleSweeps
+  // consecutive sweeps (or ~1 s passes). Used by tests before asserting on
+  // asynchronously applied state.
   void DrainForTesting();
 
   // True when replica endpoints share SO_REUSEPORT groups steered by cBPF;
@@ -102,9 +106,10 @@ class UdpTransport : public Transport {
   // this to aim raw comparison traffic at a live endpoint.
   uint16_t PortOfForTesting(const Address& addr, CoreId core) const;
 
-  // Parks every poller thread (they sleep instead of draining; kernel drops
-  // datagrams once socket buffers fill) so send-path benches can time the TX
-  // side without receive work competing for CPU. Sends are unaffected — the
+  // Parks every poller thread (they sleep instead of draining, and a poller
+  // woken by a datagram while paused leaves it queued; kernel drops datagrams
+  // once socket buffers fill) so send-path benches can time the TX side
+  // without receive work competing for CPU. Sends are unaffected — the
   // full syscall path runs, the kernel just discards at the destination.
   // Unpause before DrainForTesting or Stop.
   void SetPollersPausedForTesting(bool paused);
@@ -151,11 +156,13 @@ class UdpTransport : public Transport {
   void DeliverDelayed(Message msg, uint64_t delay_ns) EXCLUDES(timer_mu_);
   void TimerLoop() EXCLUDES(timer_mu_);
   void PollerLoop(Endpoint* ep);
-  // `inbox` is the poller's reusable decode staging: every logical message of
-  // one recvmmsg round (batch frames fanned back out) lands there and is
-  // dispatched with one ReceiveBatch per governor chunk.
-  void DrainReadySocket(Endpoint* ep, uint8_t* slab, ::mmsghdr* hdrs,
-                        std::vector<Message>* inbox);
+  // Receives and dispatches until the socket reports EAGAIN; returns the
+  // number of datagrams taken. `inbox` is the poller's reusable decode
+  // staging: every logical message of one recvmmsg round (batch frames
+  // fanned back out) lands there and is dispatched with one ReceiveBatch per
+  // governor chunk.
+  size_t DrainReadySocket(Endpoint* ep, uint8_t* slab, ::mmsghdr* hdrs,
+                          std::vector<Message>* inbox);
   Endpoint* RegisterEndpoint(const Address& addr, CoreId core, TransportReceiver* receiver)
       EXCLUDES(endpoints_mu_);
   void UnregisterEndpoint(const Address& addr, CoreId core) EXCLUDES(endpoints_mu_);

@@ -97,6 +97,25 @@ TEST_P(BlockingClientTest, ConcurrentClientsMakeProgress) {
   EXPECT_EQ(reader.Get("shared").value_or(""), "60");
 }
 
+TEST(BlockingClientReadTest, GetRightAfterPutWaitsOutTheAsynchronousCommit) {
+  // Put returns once the fast-path quorum has voted; its three COMMITs (one
+  // per replica) land 5 ms later. The Get right after it reaches replicas
+  // that still hold the write as pending, and its first attempts abort on
+  // that writer. Get must retry them, not report the key as absent.
+  SystemOptions options =
+      DefaultOptions(SystemKind::kMeerkat)
+          .WithRetry(RetryPolicy::WithTimeout(5'000'000))
+          .WithFaultPlan(FaultPlan().DelayNth(MsgKind::kCommitRequest, 1,
+                                              /*delay_ns=*/5'000'000, /*count=*/3));
+  ThreadedHarness h(options);
+  BlockingClient client(h.system(), 1);
+
+  ASSERT_TRUE(client.Put("k", "v1").committed());
+  EXPECT_EQ(client.Get("k").value_or("<absent>"), "v1");
+  ASSERT_NE(h.transport().fault_injector(), nullptr);
+  EXPECT_GE(h.transport().fault_injector()->rule_matches(0), 3u) << "vacuous fault plan";
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSystems, BlockingClientTest,
                          ::testing::Values(SystemKind::kMeerkat, SystemKind::kMeerkatPb,
                                            SystemKind::kTapir, SystemKind::kKuaFu),

@@ -13,6 +13,7 @@
 #include "src/api/blocking_client.h"
 #include "src/protocol/replica.h"
 #include "src/transport/channel.h"
+#include "src/transport/spin_then_park.h"
 #include "tests/test_util.h"
 
 namespace meerkat {
@@ -219,10 +220,10 @@ TEST(BatchOptionsTest, ZeroMaxMessagesClampsToOne) {
 }
 
 TEST(ChannelSpinClampTest, SingleCpuHostDoesNotSpin) {
-  EXPECT_EQ(Channel<int>::SpinIterationsForHost(1), 0)
+  EXPECT_EQ(ProbeWindowForHost(1).count(), 0)
       << "spinning on a 1-CPU host delays the Push being waited for";
-  EXPECT_GT(Channel<int>::SpinIterationsForHost(2), 0);
-  EXPECT_EQ(Channel<int>::SpinIterationsForHost(2), Channel<int>::SpinIterationsForHost(64));
+  EXPECT_GT(ProbeWindowForHost(2).count(), 0);
+  EXPECT_EQ(ProbeWindowForHost(2), ProbeWindowForHost(64));
 }
 
 TEST(ChannelPushAllTest, PreservesFifoUnderOneLock) {

@@ -1,8 +1,9 @@
 // Stress tests for the MPSC channel's fast-path machinery: multi-producer
-// pushes against a batch-draining consumer, the push/close race, and the
-// FIFO-per-producer ordering guarantee through PopAll. Run these under
+// pushes against a batch-draining consumer, the push/close race, the
+// FIFO-per-producer ordering guarantee through PopAll, and the liveness of
+// spin-then-park consumers that outnumber the CPUs. Run these under
 // ThreadSanitizer (see .github/workflows/ci.yml) to validate the lock-free
-// spin-phase atomics.
+// probe atomics.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -159,6 +161,76 @@ TEST(ChannelStressTest, CloseUnblocksParkedBatchConsumer) {
   ch.Close();
   consumer.join();
   EXPECT_TRUE(returned.load(std::memory_order_acquire));
+}
+
+// --- Spin-then-park consumers -----------------------------------------------
+
+TEST(ChannelSpinThenParkTest, TokenRingWithMoreConsumersThanCpusKeepsMoving) {
+  // Every consumer probes before parking, four per CPU: the yield between
+  // probes must let the thread holding the token run.
+  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  const size_t n = 4 * static_cast<size_t>(cpus);
+  constexpr int kHops = 20000;
+  std::vector<std::unique_ptr<Channel<int>>> ring;
+  for (size_t i = 0; i < n; i++) {
+    ring.push_back(std::make_unique<Channel<int>>());
+  }
+  std::atomic<int> hops{0};
+  std::atomic<bool> finished{false};
+  std::vector<std::thread> consumers;
+  for (size_t i = 0; i < n; i++) {
+    consumers.emplace_back([&, i] {
+      std::vector<int> batch;
+      while (ring[i]->PopAll(batch)) {
+        for (int hop : batch) {
+          hops.store(hop, std::memory_order_relaxed);
+          if (hop == kHops) {
+            finished.store(true, std::memory_order_release);
+          } else {
+            ring[(i + 1) % n]->Push(hop + 1);
+          }
+        }
+      }
+    });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  ring[0]->Push(0);
+  // Generous: ~0.3 s on a 4-vCPU host, far more under sanitizers.
+  const auto deadline = start + std::chrono::seconds(60);
+  while (!finished.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (auto& ch : ring) {
+    ch->Close();
+  }
+  for (auto& t : consumers) {
+    t.join();
+  }
+  EXPECT_TRUE(finished.load(std::memory_order_acquire))
+      << "token stalled at hop " << hops.load() << " of " << kHops << " over " << n
+      << " consumers";
+}
+
+TEST(ChannelSpinThenParkTest, CloseEndsAProbingPopAllPromptly) {
+  Channel<int> ch;
+  std::atomic<bool> entered{false};
+  std::chrono::steady_clock::time_point returned_at;
+  std::thread consumer([&] {
+    std::vector<int> out;
+    entered.store(true, std::memory_order_release);
+    EXPECT_FALSE(ch.PopAll(out));
+    EXPECT_TRUE(out.empty());
+    returned_at = std::chrono::steady_clock::now();
+  });
+  // Close while the consumer is (most likely) still inside its probe window.
+  while (!entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  const auto closed_at = std::chrono::steady_clock::now();
+  ch.Close();
+  consumer.join();
+  EXPECT_LT(returned_at - closed_at, std::chrono::seconds(1));
 }
 
 }  // namespace

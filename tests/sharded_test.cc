@@ -154,6 +154,7 @@ TEST(ShardedSystemTest, DroppedValidateIsRetransmittedAcrossShards) {
   // Drops two of shard 0's three VALIDATEs (the fan-outs go out in shard
   // order). With one vote in hand its coordinator cannot fall back to the
   // slow path when the timer fires, so it must retransmit.
+  ResetTraces();  // Earlier tests in this process reuse the same TxnIds.
   FaultPlan plan = FaultPlan().DropNth(MsgKind::kValidateRequest, 1, /*count=*/2);
   SimHarness h(DefaultOptions(SystemKind::kMeerkat)
                    .WithShards(2)
@@ -171,6 +172,18 @@ TEST(ShardedSystemTest, DroppedValidateIsRetransmittedAcrossShards) {
   EXPECT_GE(outcome.retransmits, 1u);
   EXPECT_EQ(h.ValueAt(0, a), "1");
   EXPECT_EQ(h.ValueAt(kReplicas, b), "1");
+  if (MEERKAT_TRACE) {
+    // VALIDATE_SENT carries the retransmission round: one round-0 fan-out
+    // per shard, then shard 0's retransmission as round 1.
+    std::map<uint32_t, int> rounds;
+    for (const TraceEvent& event : CollectTrace(outcome.tid)) {
+      if (event.step == TraceStep::kValidateSent) {
+        rounds[event.arg]++;
+      }
+    }
+    EXPECT_EQ(rounds[0], 2);
+    EXPECT_GE(rounds[1], 1);
+  }
 }
 
 TEST(ShardedSystemTest, ForcedSlowPathAppliesToEveryShard) {

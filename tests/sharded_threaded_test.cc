@@ -75,9 +75,11 @@ TEST_F(ShardedThreadedFixture, CrossShardCommitOnRealThreads) {
   plan.ops.push_back(Op::Rmw(b, "1"));
   ASSERT_EQ(Run(*session, plan), TxnResult::kCommit);
   if (MEERKAT_TRACE) {
+    // First-round fan-outs only: the fixture's short retry timeout can fire
+    // on a loaded host, and a retransmitted round (arg > 0) is not a shard.
     size_t validate_fanouts = 0;
     for (const TraceEvent& event : CollectTrace(session->last_tid())) {
-      validate_fanouts += event.step == TraceStep::kValidateSent ? 1 : 0;
+      validate_fanouts += event.step == TraceStep::kValidateSent && event.arg == 0 ? 1 : 0;
     }
     EXPECT_EQ(validate_fanouts, kShards);  // One per involved shard.
   }

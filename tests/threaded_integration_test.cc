@@ -72,7 +72,10 @@ TEST(FiveReplicaTest, FastAndSlowPathQuorums) {
   // n=5 (f=2): the fast path needs 4 matching votes; with one replica down it
   // is still reachable; with two down the slow path (3 votes) still commits.
   SystemOptions options = DefaultOptions(SystemKind::kMeerkat, /*cores=*/2, /*replicas=*/5);
-  options.retry = RetryPolicy::WithTimeout(2'000'000);
+  // The first commit must take the fast path, so the validate timer must not
+  // fire before the fourth vote lands. On a host oversubscribed by parallel
+  // test runs, a 2 ms timer beat that vote in 12-19% of runs.
+  options.retry = RetryPolicy::WithTimeout(20'000'000);
   ThreadedHarness h(options);
   h.system().Load("k", "v0");
 

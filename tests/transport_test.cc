@@ -1,11 +1,14 @@
 // Unit tests for the transport substrate: channel, fault injector, threaded
-// transport (delivery, core affinity, timers), and simulated transport
-// (latency, CPU charging, coordination accounting).
+// transport (delivery, core affinity, timers), the real-clock transports'
+// test quiesce, and simulated transport (latency, CPU charging, coordination
+// accounting).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "src/sim/sim_time_source.h"
@@ -14,6 +17,7 @@
 #include "src/transport/fault_injector.h"
 #include "src/transport/sim_transport.h"
 #include "src/transport/threaded_transport.h"
+#include "src/transport/udp_transport.h"
 
 namespace meerkat {
 namespace {
@@ -238,6 +242,79 @@ TEST(ThreadedTransportTest, DuplicationDeliversTwice) {
   ASSERT_TRUE(client.WaitFor(2));
   EXPECT_EQ(client.Count(), 2u);
   transport.Stop();
+}
+
+// --- DrainForTesting and a delivery still in flight -------------------------
+
+// Blocks every delivery until the test opens the latch.
+class LatchedReceiver : public TransportReceiver {
+ public:
+  void Receive(Message&&) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return open_; });
+  }
+
+  bool WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5), [this] { return entered_; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool open_ = false;
+};
+
+// The message has left the inbox (or the socket) but its delivery is still
+// running: DrainForTesting, called from another thread, must wait it out.
+template <typename TransportT>
+void ExpectDrainWaitsForDeliveryInFlight() {
+  LatchedReceiver receiver;  // Outlives the transport's delivery threads.
+  TransportT transport;
+  transport.RegisterReplica(0, 0, &receiver);
+  Message msg;
+  msg.src = Address::Client(1);
+  msg.dst = Address::Replica(0);
+  msg.core = 0;
+  msg.payload = GetRequest{TxnId{1, 1}, 1, "k"};
+  transport.Send(msg);
+  if (!receiver.WaitEntered()) {
+    receiver.Open();
+    FAIL() << "the message never reached the receiver";
+  }
+
+  std::atomic<bool> opened{false};
+  std::atomic<bool> returned_while_closed{false};
+  std::thread drainer([&] {
+    transport.DrainForTesting();
+    returned_while_closed.store(!opened.load(std::memory_order_acquire),
+                                std::memory_order_release);
+  });
+  // Well past the ~4 ms of three idle sweeps, well short of the sweep cap.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  opened.store(true, std::memory_order_release);
+  receiver.Open();
+  drainer.join();
+  EXPECT_FALSE(returned_while_closed.load(std::memory_order_acquire))
+      << "DrainForTesting returned while a delivery was still in flight";
+  transport.Stop();
+}
+
+TEST(TransportDrainTest, ThreadedWaitsForDeliveryInFlight) {
+  ExpectDrainWaitsForDeliveryInFlight<ThreadedTransport>();
+}
+
+TEST(TransportDrainTest, UdpWaitsForDeliveryInFlight) {
+  ExpectDrainWaitsForDeliveryInFlight<UdpTransport>();
 }
 
 TEST(SimTransportTest, DeliveryChargesLatencyAndCpu) {

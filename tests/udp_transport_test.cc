@@ -1,7 +1,7 @@
 // UDP transport unit tests: wire round-trips, per-core flow steering (in
 // both steering modes), sendmmsg fan-out batching, timers, fault injection,
-// endpoint-range guards, and the steady-state zero-allocation guarantee of
-// the encode/send path.
+// spin-then-park pollers (stop and pause), endpoint-range guards, and the
+// steady-state zero-allocation guarantee of the encode/send path.
 
 #include "src/transport/udp_transport.h"
 
@@ -423,6 +423,50 @@ TEST(UdpTransportLifecycleTest, ReRegisterSwapsReceiverWithoutRebinding) {
   t.Send(MakeGet(1, Address::Replica(0), 0, 1, "k"));
   ASSERT_TRUE(new_r.WaitForCount(1));
   EXPECT_EQ(old_r.count.load(), 0u);
+}
+
+// --- Spin-then-park pollers ---------------------------------------------------
+
+TEST(UdpTransportLifecycleTest, StopJoinsProbingPollersPromptly) {
+  RecordingReceiver r;
+  UdpTransport t;
+  t.RegisterReplica(0, 0, &r);
+  t.RegisterReplica(0, 1, &r);
+  // Stream datagrams at both cores, then stop right after the last one, so
+  // both pollers are still inside their probe windows when Stop lands.
+  std::atomic<bool> sending{true};
+  std::thread sender([&] {
+    for (uint64_t seq = 1; sending.load(std::memory_order_acquire); seq++) {
+      t.Send(MakeGet(1, Address::Replica(0), static_cast<CoreId>(seq % 2), seq, "k"));
+    }
+  });
+  ASSERT_TRUE(r.WaitForCount(100));
+  sending.store(false, std::memory_order_release);
+  sender.join();
+  const auto start = std::chrono::steady_clock::now();
+  t.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+TEST(UdpTransportLifecycleTest, PausedPollerDispatchesNothing) {
+  RecordingReceiver r;  // Outlives the pollers.
+  UdpTransport t;
+  t.RegisterReplica(0, 0, &r);
+  t.Send(MakeGet(1, Address::Replica(0), 0, 1, "k"));
+  ASSERT_TRUE(r.WaitForCount(1));
+  t.SetPollersPausedForTesting(true);
+  // Let a probe or drain already past its pause check finish.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  constexpr uint64_t kQueued = 8;
+  for (uint64_t seq = 2; seq < 2 + kQueued; seq++) {
+    t.Send(MakeGet(1, Address::Replica(0), 0, seq, "k"));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(r.count.load(std::memory_order_acquire), 1u)
+      << "a paused poller dispatched the datagrams that woke it";
+  // Unpaused, the poller delivers what queued in the socket meanwhile.
+  t.SetPollersPausedForTesting(false);
+  EXPECT_TRUE(r.WaitForCount(1 + kQueued));
 }
 
 // --- Endpoint-coordinate range guards (satellite: EndpointKey aliasing) ----
