@@ -114,9 +114,9 @@ CachePoint RunCachePoint(bool cached, size_t num_clients, const BenchOptions& op
   run.measure_ns = opt.measure_ms * 1'000'000;
   run.seed = opt.seed;
 
-  MetricsSnapshot before = SnapshotMetrics(false);
+  MetricsSnapshot before = SnapshotMetrics();
   RunResult result = RunSimWorkload(sim, transport, *system, workload, run);
-  MetricsSnapshot after = SnapshotMetrics(false);
+  MetricsSnapshot after = SnapshotMetrics();
 
   CachePoint cp;
   PointResult& point = cp.point;

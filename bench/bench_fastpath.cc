@@ -298,9 +298,6 @@ int main(int argc, char** argv) {
   if (!out.Finish(out_path)) {
     return 2;
   }
-  printf("\nfast-path counters (this process):\n%s\n",
-         SnapshotFastPathCounters().Summary().c_str());
-
   double speedup = mutex_hot_8t.ops_per_sec > 0
                        ? vstore_hot_8t.ops_per_sec / mutex_hot_8t.ops_per_sec
                        : 0;

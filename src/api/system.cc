@@ -269,13 +269,19 @@ class PbSystem : public System {
 
 std::unique_ptr<System> CreateSystem(const SystemOptions& options, Transport* transport,
                                      TimeSource* time_source) {
-  // Only Meerkat replica groups shard. Abort rather than silently building
-  // a one-group cluster whose clients would address missing replicas; this
-  // must hold in release builds too, hence no assert.
+  // Only Meerkat replica groups shard, and a group's replica sets are 64-bit
+  // masks. Abort rather than silently building a cluster whose clients would
+  // address missing replicas or whose masks would overflow; this must hold
+  // in release builds too, hence no assert.
   if (options.num_shards == 0 ||
       (options.num_shards != 1 && options.kind != SystemKind::kMeerkat)) {
     std::fprintf(stderr, "meerkat: num_shards %zu unsupported for %s (only MEERKAT shards)\n",
                  options.num_shards, ToString(options.kind));
+    std::abort();
+  }
+  if (options.quorum.n == 0 || options.quorum.n > kMaxGroupReplicas) {
+    std::fprintf(stderr, "meerkat: %zu replicas per group unsupported (1..%zu)\n",
+                 options.quorum.n, kMaxGroupReplicas);
     std::abort();
   }
   switch (options.kind) {

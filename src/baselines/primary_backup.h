@@ -125,8 +125,17 @@ class PrimaryBackupReplica {
   // acq_rel: the release half orders the caller's state-transfer writes
   // before the mask update; the acquire half pairs with BackupDown's acquire
   // load so a primary that observes the flip also observes those writes.
-  void MarkBackupDown(ReplicaId r) { down_mask_.fetch_or(1u << r, std::memory_order_acq_rel); }
-  void MarkBackupUp(ReplicaId r) { down_mask_.fetch_and(~(1u << r), std::memory_order_acq_rel); }
+  // Replica ids index a 64-bit mask: CreateSystem caps groups at
+  // kMaxGroupReplicas.
+  void MarkBackupDown(ReplicaId r) {
+    down_mask_.fetch_or(uint64_t{1} << r, std::memory_order_acq_rel);
+  }
+  void MarkBackupUp(ReplicaId r) {
+    down_mask_.fetch_and(~(uint64_t{1} << r), std::memory_order_acq_rel);
+  }
+  ZCP_FAST_PATH bool BackupDown(ReplicaId r) const {
+    return (down_mask_.load(std::memory_order_acquire) & (uint64_t{1} << r)) != 0;
+  }
 
  private:
   class CoreReceiver : public TransportReceiver {
@@ -159,9 +168,6 @@ class PrimaryBackupReplica {
   void SendReplicate(CoreId core, ReplicaId to, const TxnId& tid, const PendingTxn& txn);
   // Finalizes the pending transaction if every live backup has acked.
   void TryFinalize(CoreId core, const TxnId& tid);
-  ZCP_FAST_PATH bool BackupDown(ReplicaId r) const {
-    return (down_mask_.load(std::memory_order_acquire) & (1u << r)) != 0;
-  }
   void Reply(const Address& to, CoreId core, Payload payload);
 
   const ReplicaId id_;
@@ -170,7 +176,7 @@ class PrimaryBackupReplica {
   Transport* const transport_;
 
   std::atomic<bool> recovering_{false};
-  std::atomic<uint32_t> down_mask_{0};
+  std::atomic<uint64_t> down_mask_{0};
 
   VStore store_;
   // KuaFu++'s cross-core shared structures. Meerkat-PB never touches them.

@@ -13,12 +13,12 @@
 // MutexLock, LockGuard<M>, CondVar). They add no state and no extra atomic
 // ops over the std types they wrap.
 //
-// ZCP_FAST_PATH is a pure marker consumed by tools/zcp_lint.py (Layer 2): a
-// function tagged with it may not acquire blocking mutexes, call denylisted
-// allocating APIs, or touch another core's trecord partition. KeyLock (the
-// per-key spinlock) is deliberately NOT a blocking mutex for the lint's
-// purposes — per-key locking is within the Zero-Coordination Principle;
-// cross-core mutexes are not.
+// ZCP_FAST_PATH is a pure marker consumed by tools/zcp_analyzer.py (Layer
+// 2): nothing reachable from a function tagged with it may acquire blocking
+// mutexes, call denylisted allocating APIs, or touch another core's trecord
+// partition. KeyLock (the per-key spinlock) is deliberately NOT a blocking
+// mutex for the analyzer's purposes — per-key locking is within the
+// Zero-Coordination Principle; cross-core mutexes are not.
 
 #ifndef MEERKAT_SRC_COMMON_ANNOTATIONS_H_
 #define MEERKAT_SRC_COMMON_ANNOTATIONS_H_
@@ -62,10 +62,11 @@
 #define NO_THREAD_SAFETY_ANALYSIS \
   MEERKAT_THREAD_ANNOTATION(no_thread_safety_analysis)
 
-// Marker for zero-coordination fast-path functions; enforced by
-// tools/zcp_lint.py (intra-function) and tools/zcp_analyzer.py (whole
-// closure), invisible to the compiler. Place it on the function
-// *definition* (the lint checks bodies, not declarations).
+// Marker for zero-coordination fast-path functions; enforced over the whole
+// call closure by tools/zcp_analyzer.py, invisible to the compiler. Place it
+// on the function *definition*; a marker on a declaration also promotes
+// every definition of that name. The analyzer's inventory pins every marked
+// definition, so deleting a marker fails until the inventory is refreshed.
 #define ZCP_FAST_PATH
 
 // Explicit fast/slow boundary: the caller provably leaves the fast path

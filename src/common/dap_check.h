@@ -11,7 +11,7 @@
 //     naming the logical core the message is addressed to. Partition access
 //     while a scope is active must land on the partition that core maps to;
 //     anything else is a cross-partition access — exactly the bug class the
-//     zcp-lint ZCP003 rule catches statically, caught here dynamically and
+//     zcp_analyzer ZCPA003 rule catches statically, caught here dynamically and
 //     interprocedurally.
 //
 //  2. Thread-owner stamping (threaded runs): transport worker threads bind

@@ -125,7 +125,7 @@ void MetricRecordValue(MetricId id, uint64_t value) {
 
 void WarmupMetricsForThisThread() { LocalSlab(); }
 
-MetricsSnapshot SnapshotMetrics(bool include_fastpath) {
+MetricsSnapshot SnapshotMetrics(bool) {
   MetricsSnapshot snap;
   MetricsState& s = State();
   {
@@ -151,18 +151,6 @@ MetricsSnapshot SnapshotMetrics(bool include_fastpath) {
       }
       snap.histograms[s.histogram_names[i]] = merged;
     }
-  }
-  if (include_fastpath) {
-    FastPathCounters fp = SnapshotFastPathCounters();
-    snap.counters["fastpath.vstore_fast_reads"] = fp.vstore_fast_reads;
-    snap.counters["fastpath.vstore_locked_reads"] = fp.vstore_locked_reads;
-    snap.counters["fastpath.vstore_seqlock_retries"] = fp.vstore_seqlock_retries;
-    snap.counters["fastpath.vstore_version_probes"] = fp.vstore_version_probes;
-    snap.counters["fastpath.occ_stale_fast_aborts"] = fp.occ_stale_fast_aborts;
-    snap.counters["fastpath.channel_batches"] = fp.channel_batches;
-    snap.counters["fastpath.channel_batched_items"] = fp.channel_batched_items;
-    snap.counters["fastpath.channel_notifies_skipped"] = fp.channel_notifies_skipped;
-    snap.counters["fastpath.payload_fanout_shares"] = fp.payload_fanout_shares;
   }
   return snap;
 }

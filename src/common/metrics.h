@@ -1,7 +1,6 @@
-// ZCP-safe observability: a per-core metrics registry.
-//
-// Generalizes the thread-local FastPathCounters slab pattern (stats.h) to
-// *named* counters, gauges, and histograms. The discipline is identical:
+// ZCP-safe observability: a per-core metrics registry, the one mechanism for
+// named counters, gauges and histograms — from the lock-free vstore read and
+// the channel push to the coordinator's phase latencies. The discipline:
 //
 //   * Registration (naming a metric, getting a MetricId) takes a mutex once,
 //     at static-init or setup time — never on a hot path.
@@ -26,8 +25,8 @@
 //               (MetricRecordValue). Named "histogram", not "latency":
 //               any uint64 distribution (batch sizes, delays) fits.
 //
-// MetricsSnapshot::ToJson() renders the whole registry — plus the legacy
-// FastPathCounters under "fastpath." — for the BENCH_*.json export path.
+// MetricsSnapshot::ToJson() renders the whole registry for the BENCH_*.json
+// export path.
 
 #ifndef MEERKAT_SRC_COMMON_METRICS_H_
 #define MEERKAT_SRC_COMMON_METRICS_H_
@@ -97,12 +96,13 @@ struct MetricsSnapshot {
   int64_t GaugeValue(const std::string& name) const;
 };
 
-// Sums every thread's slab. `include_fastpath` folds the legacy
-// FastPathCounters in as counters named "fastpath.<field>".
-MetricsSnapshot SnapshotMetrics(bool include_fastpath = true);
+// Sums every thread's slab. The bool selects nothing: it is kept only so the
+// real-clock benchmark's existing `SnapshotMetrics(false)` calls still
+// compile. Other callers pass no argument.
+MetricsSnapshot SnapshotMetrics(bool = false);
 
-// Zeroes every registered slab (benchmarks only; same caveat as
-// ResetFastPathCounters: concurrent increments may survive the reset).
+// Zeroes every registered slab (benchmarks only: concurrent increments during
+// the reset may survive it, which is fine for before/after deltas).
 void ResetMetrics();
 
 // Nanosecond clock for phase-latency metrics and trace timestamps: virtual

@@ -4,10 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
-#include <memory>
-#include <vector>
-
-#include "src/common/annotations.h"
 
 namespace meerkat {
 
@@ -128,88 +124,6 @@ std::string RunStats::Summary(double elapsed_seconds) const {
            static_cast<unsigned long long>(timeouts),
            static_cast<unsigned long long>(recoveries));
   return buf;
-}
-
-void FastPathCounters::Merge(const FastPathCounters& other) {
-  vstore_fast_reads += other.vstore_fast_reads;
-  vstore_locked_reads += other.vstore_locked_reads;
-  vstore_seqlock_retries += other.vstore_seqlock_retries;
-  vstore_version_probes += other.vstore_version_probes;
-  occ_stale_fast_aborts += other.occ_stale_fast_aborts;
-  channel_batches += other.channel_batches;
-  channel_batched_items += other.channel_batched_items;
-  channel_notifies_skipped += other.channel_notifies_skipped;
-  payload_fanout_shares += other.payload_fanout_shares;
-}
-
-std::string FastPathCounters::Summary() const {
-  uint64_t reads = vstore_fast_reads + vstore_locked_reads;
-  double fast_frac = reads == 0 ? 0.0
-                                : static_cast<double>(vstore_fast_reads) /
-                                      static_cast<double>(reads);
-  double batch = channel_batches == 0 ? 0.0
-                                      : static_cast<double>(channel_batched_items) /
-                                            static_cast<double>(channel_batches);
-  char buf[320];
-  snprintf(buf, sizeof(buf),
-           "vstore: %llu reads (%.1f%% lock-free, %llu retries, %llu probes) | "
-           "channel: %llu msgs in %llu batches (avg %.1f, %llu notifies skipped) | "
-           "payload shares: %llu",
-           static_cast<unsigned long long>(reads), fast_frac * 100.0,
-           static_cast<unsigned long long>(vstore_seqlock_retries),
-           static_cast<unsigned long long>(vstore_version_probes),
-           static_cast<unsigned long long>(channel_batched_items),
-           static_cast<unsigned long long>(channel_batches), batch,
-           static_cast<unsigned long long>(channel_notifies_skipped),
-           static_cast<unsigned long long>(payload_fanout_shares));
-  return buf;
-}
-
-namespace {
-
-// Registry of every thread's counter slab. Slabs are shared_ptr-owned by both
-// the registry and the creating thread's thread_local handle, so snapshots
-// remain valid after the thread exits. The mutex guards registration and
-// snapshot only — never the per-increment fast path.
-struct CounterRegistry {
-  Mutex mu;
-  std::vector<std::shared_ptr<FastPathCounters>> slabs GUARDED_BY(mu);
-};
-
-CounterRegistry& Registry() {
-  static CounterRegistry* registry = new CounterRegistry();  // Never destroyed.
-  return *registry;
-}
-
-}  // namespace
-
-FastPathCounters& LocalFastPathCounters() {
-  thread_local std::shared_ptr<FastPathCounters> slab = [] {
-    auto p = std::make_shared<FastPathCounters>();
-    CounterRegistry& reg = Registry();
-    MutexLock lock(reg.mu);
-    reg.slabs.push_back(p);
-    return p;
-  }();
-  return *slab;
-}
-
-FastPathCounters SnapshotFastPathCounters() {
-  FastPathCounters total;
-  CounterRegistry& reg = Registry();
-  MutexLock lock(reg.mu);
-  for (const auto& slab : reg.slabs) {
-    total.Merge(*slab);
-  }
-  return total;
-}
-
-void ResetFastPathCounters() {
-  CounterRegistry& reg = Registry();
-  MutexLock lock(reg.mu);
-  for (const auto& slab : reg.slabs) {
-    *slab = FastPathCounters{};
-  }
 }
 
 }  // namespace meerkat

@@ -1,5 +1,6 @@
-// Lightweight statistics: counters, latency histogram, and per-run summaries
-// used by the benchmark harness and by examples.
+// Lightweight statistics: a latency histogram and per-run outcome summaries
+// used by the benchmark harness and by examples. Named per-thread counters,
+// gauges and histograms live in the metrics registry (metrics.h).
 
 #ifndef MEERKAT_SRC_COMMON_STATS_H_
 #define MEERKAT_SRC_COMMON_STATS_H_
@@ -85,43 +86,6 @@ struct RunStats {
   void Merge(const RunStats& other);
   std::string Summary(double elapsed_seconds) const;
 };
-
-// Fast-path instrumentation for the zero-coordination hot paths (vstore
-// lock-free reads, channel batch drain, shared validate/accept payloads).
-//
-// Counters are plain (non-atomic) and thread-local: each thread bumps its own
-// instance through LocalFastPathCounters(), so the instrumentation itself
-// never touches a shared cache line — instrumenting a DAP fast path with a
-// global atomic would reintroduce exactly the coordination the counters are
-// meant to prove absent. SnapshotFastPathCounters() sums across all threads
-// that ever recorded (the per-thread slabs outlive their threads).
-struct FastPathCounters {
-  // Storage layer.
-  uint64_t vstore_fast_reads = 0;       // Seqlock reads that avoided the key lock.
-  uint64_t vstore_locked_reads = 0;     // Fallbacks to the per-key lock.
-  uint64_t vstore_seqlock_retries = 0;  // Read attempts invalidated by a concurrent writer.
-  uint64_t vstore_version_probes = 0;   // Lock-free wts-only probes.
-  uint64_t occ_stale_fast_aborts = 0;   // Validations aborted by the lock-free staleness probe.
-  // Transport layer.
-  uint64_t channel_batches = 0;          // PopAll drains that returned >= 1 message.
-  uint64_t channel_batched_items = 0;    // Messages delivered via batch drains.
-  uint64_t channel_notifies_skipped = 0; // Pushes that found no parked consumer.
-  // Protocol layer.
-  uint64_t payload_fanout_shares = 0;   // Extra set copies avoided by shared payloads.
-
-  void Merge(const FastPathCounters& other);
-  std::string Summary() const;
-};
-
-// This thread's counter slab (created and registered on first use).
-FastPathCounters& LocalFastPathCounters();
-
-// Sums every thread's counters (including exited threads).
-FastPathCounters SnapshotFastPathCounters();
-
-// Zeroes every registered slab. Benchmarks only: concurrent increments during
-// the reset may survive it, which is fine for before/after deltas.
-void ResetFastPathCounters();
 
 }  // namespace meerkat
 

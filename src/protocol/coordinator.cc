@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/metrics.h"
-#include "src/common/stats.h"
 #include "src/common/trace.h"
 #include "src/protocol/epoch_merge.h"
 #include "src/sim/sim_context.h"
@@ -33,6 +32,9 @@ const MetricId kAcceptPhaseNs = MetricsRegistry::Histogram("coord.accept_phase_n
 const MetricId kCommitTotalNs = MetricsRegistry::Histogram("coord.commit_total_ns");
 const MetricId kShedReplies = MetricsRegistry::Counter("overload.shed_replies");
 const MetricId kOverloadRejections = MetricsRegistry::Counter("overload.coord_rejections");
+// Set copies a VALIDATE/ACCEPT fan-out avoided by sharing one payload: n - 1
+// per n-replica fan-out.
+const MetricId kPayloadFanoutShares = MetricsRegistry::Counter("coord.payload_fanout_shares");
 
 }  // namespace
 
@@ -57,13 +59,13 @@ void CommitCoordinator::Start(CoreId core, TxnId tid, Timestamp ts,
   retries_ = 0;
   outcome_ = CommitOutcome{};
   reply_epoch_ = 0;
-  validate_replied_.clear();
+  validate_replied_.Clear();
   ok_count_ = 0;
   abort_count_ = 0;
-  shed_replied_.clear();
+  shed_replied_.Clear();
   shed_count_ = 0;
   proposal_commit_ = false;
-  accept_ok_.clear();
+  accept_ok_.Clear();
   accept_rejects_ = 0;
   start_ns_ = phase_start_ns_ = MetricsNowNanos();
   SendValidates(/*only_missing=*/false);
@@ -86,7 +88,7 @@ void CommitCoordinator::SendValidates(bool only_missing) {
   size_t k = 0;
   size_t sent = 0;
   for (ReplicaId r = 0; r < quorum_.n; r++) {
-    if (only_missing && validate_replied_.count(group_base_ + r) != 0) {
+    if (only_missing && validate_replied_.Contains(r)) {
       continue;
     }
     Message& msg = batch[k];
@@ -108,7 +110,7 @@ void CommitCoordinator::SendValidates(bool only_missing) {
     transport_->SendMany(batch, k);
   }
   if (sent > 1) {
-    LocalFastPathCounters().payload_fanout_shares += sent - 1;
+    MetricIncr(kPayloadFanoutShares, sent - 1);
   }
   TraceRecord(tid_, TraceStep::kValidateSent, retries_);
 }
@@ -122,9 +124,6 @@ void CommitCoordinator::SendAccepts() {
     msg.dst = Address::Replica(group_base_ + r);
     msg.core = core_;
     msg.payload = AcceptRequest{tid_, /*view=*/0, proposal_commit_, ts_, sets_};
-    if (r != 0) {
-      LocalFastPathCounters().payload_fanout_shares++;
-    }
     if (++k == kFanoutChunk) {
       transport_->SendMany(batch, k);
       k = 0;
@@ -132,6 +131,9 @@ void CommitCoordinator::SendAccepts() {
   }
   if (k != 0) {
     transport_->SendMany(batch, k);
+  }
+  if (quorum_.n > 1) {
+    MetricIncr(kPayloadFanoutShares, quorum_.n - 1);
   }
   TraceRecord(tid_, TraceStep::kAcceptSent, proposal_commit_ ? 1 : 0);
 }
@@ -209,22 +211,22 @@ bool CommitCoordinator::OnMessage(const Message& msg) {
         outcome_.epoch_bumped = true;  // Quorum rebuilt across the change.
       }
       reply_epoch_ = reply->epoch;
-      validate_replied_.clear();
+      validate_replied_.Clear();
       ok_count_ = 0;
       abort_count_ = 0;
-      shed_replied_.clear();
+      shed_replied_.Clear();
       shed_count_ = 0;
     } else if (reply->epoch < reply_epoch_) {
       return true;
     }
-    if (!validate_replied_.insert(reply->from).second) {
-      return true;  // Duplicate reply.
+    if (!validate_replied_.Insert(reply->from - group_base_, quorum_.n)) {
+      return true;  // Duplicate reply, or a replica outside this group.
     }
     TraceRecord(tid_, TraceStep::kValidateReply, reply->from);
     if (reply->status == TxnStatus::kRetryLater) {
       // Shed by an overloaded replica: a non-vote. The replica holds no
       // record, so only a retransmission can turn it into a vote.
-      shed_replied_.insert(reply->from);
+      shed_replied_.Insert(reply->from - group_base_, quorum_.n);
       shed_count_++;
       outcome_.backoff_hint_ns = std::max(outcome_.backoff_hint_ns, reply->backoff_hint_ns);
       MetricIncr(kShedReplies);
@@ -261,7 +263,7 @@ bool CommitCoordinator::OnMessage(const Message& msg) {
       }
       return true;
     }
-    accept_ok_.insert(reply->from);
+    accept_ok_.Insert(reply->from - group_base_, quorum_.n);
     if (accept_ok_.size() >= quorum_.Majority()) {
       TraceRecord(tid_, TraceStep::kSlowPathDecision, proposal_commit_ ? 1 : 0);
       Finish(proposal_commit_ ? TxnResult::kCommit : TxnResult::kAbort, CommitPath::kSlow,
@@ -345,10 +347,8 @@ bool CommitCoordinator::OnTimer(uint64_t timer_id) {
     // Re-ask replicas that shed: they hold no record, so the retransmission
     // is their only path to casting a vote (their load may have drained by
     // now — the timer's backoff already spaced this retry out).
-    for (ReplicaId r : shed_replied_) {
-      validate_replied_.erase(r);
-    }
-    shed_replied_.clear();
+    validate_replied_.Remove(shed_replied_);
+    shed_replied_.Clear();
     shed_count_ = 0;
     SendValidates(/*only_missing=*/true);
     ArmTimer(kValidatePhaseTimer);
@@ -415,12 +415,12 @@ bool BackupCoordinator::OnMessage(const Message& msg) {
       if (ack->view >= view_) {
         view_ = ack->view + 1;
         prepare_acks_.clear();
-        prepare_replied_.clear();
+        prepare_replied_.Clear();
         SendPrepares();
       }
       return true;
     }
-    if (ack->view != view_ || !prepare_replied_.insert(ack->from).second) {
+    if (ack->view != view_ || !prepare_replied_.Insert(ack->from - group_base_, quorum_.n)) {
       return true;
     }
     prepare_acks_.push_back(*ack);
@@ -436,7 +436,7 @@ bool BackupCoordinator::OnMessage(const Message& msg) {
     if (reply->view != view_ || !reply->ok) {
       return true;
     }
-    accept_ok_.insert(reply->from);
+    accept_ok_.Insert(reply->from - group_base_, quorum_.n);
     if (accept_ok_.size() >= quorum_.Majority()) {
       for (ReplicaId r = 0; r < quorum_.n; r++) {
         Message out;
@@ -471,9 +471,9 @@ void BackupCoordinator::DecideAndAccept() {
     msg.core = core_;
     msg.payload = AcceptRequest{tid_, view_, proposal_commit_, ts_, sets_};
     transport_->Send(std::move(msg));
-    if (r != 0) {
-      LocalFastPathCounters().payload_fanout_shares++;
-    }
+  }
+  if (quorum_.n > 1) {
+    MetricIncr(kPayloadFanoutShares, quorum_.n - 1);
   }
   ArmTimer(kAcceptPhaseTimer);
 }

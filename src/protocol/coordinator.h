@@ -21,8 +21,6 @@
 #ifndef MEERKAT_SRC_PROTOCOL_COORDINATOR_H_
 #define MEERKAT_SRC_PROTOCOL_COORDINATOR_H_
 
-#include <map>
-#include <set>
 #include <vector>
 
 #include "src/common/client_cache.h"
@@ -160,20 +158,21 @@ class CommitCoordinator {
   CommitOutcome outcome_;
 
   // Validation replies, tracked for the highest epoch seen (replies from
-  // different epochs never combine into one quorum; see message.h).
+  // different epochs never combine into one quorum; see message.h). Every
+  // reply mask is indexed by position in this coordinator's group.
   EpochNum reply_epoch_ = 0;
-  std::set<ReplicaId> validate_replied_;
+  ReplicaMask validate_replied_;
   size_t ok_count_ = 0;
   size_t abort_count_ = 0;
   // Replicas that shed the VALIDATE (kRetryLater). They count as "replied"
   // (no vote can still arrive without a retransmit) but never as votes; a
   // retransmission un-marks them so they are re-asked.
-  std::set<ReplicaId> shed_replied_;
+  ReplicaMask shed_replied_;
   size_t shed_count_ = 0;
 
   // Accept round (the original coordinator proposes in view 0).
   bool proposal_commit_ = false;
-  std::set<ReplicaId> accept_ok_;
+  ReplicaMask accept_ok_;
   size_t accept_rejects_ = 0;
 };
 
@@ -225,13 +224,14 @@ class BackupCoordinator {
   CommitOutcome outcome_;
   ReplicaId group_base_ = 0;
   std::vector<CoordChangeAck> prepare_acks_;
-  std::set<ReplicaId> prepare_replied_;
+  // Reply masks, indexed by position in the group (as in CommitCoordinator).
+  ReplicaMask prepare_replied_;
   bool proposal_commit_ = false;
   Timestamp ts_;
   // Recovered payload, shared across the ACCEPT fan-out (may be null if no
   // replica had the transaction's sets).
   TxnSetsPtr sets_;
-  std::set<ReplicaId> accept_ok_;
+  ReplicaMask accept_ok_;
 };
 
 }  // namespace meerkat

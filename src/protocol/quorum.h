@@ -16,12 +16,17 @@
 #ifndef MEERKAT_SRC_PROTOCOL_QUORUM_H_
 #define MEERKAT_SRC_PROTOCOL_QUORUM_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 
 namespace meerkat {
+
+// The largest replica group a deployment may configure: per-group replica
+// sets are 64-bit masks (ReplicaMask, the primary-backup down mask).
+inline constexpr size_t kMaxGroupReplicas = 64;
 
 struct QuorumConfig {
   size_t n = 3;  // Number of replicas, must be 2f+1.
@@ -48,6 +53,34 @@ struct QuorumConfig {
   bool FastPathStillPossible(size_t matching, size_t received) const {
     return matching + (n - received) >= SuperMajority();
   }
+};
+
+// A set of replicas of one group, as a bitmask indexed by position in the
+// group (a reply's global replica id minus the group's base). Coordinators
+// track who voted in each round with it: no allocation, popcount to count.
+class ReplicaMask {
+ public:
+  // Adds replica `index` of an n-replica group. Returns false, adding
+  // nothing, if it is already present or lies outside [0, n): a reply that
+  // names a replica of another group can never count as a vote.
+  bool Insert(size_t index, size_t n) {
+    if (index >= n || index >= kMaxGroupReplicas || Contains(index)) {
+      return false;
+    }
+    bits_ |= uint64_t{1} << index;
+    return true;
+  }
+  bool Contains(size_t index) const {
+    return index < kMaxGroupReplicas && (bits_ >> index & 1) != 0;
+  }
+  // Removes every replica present in `other`.
+  void Remove(const ReplicaMask& other) { bits_ &= ~other.bits_; }
+  void Clear() { bits_ = 0; }
+  bool empty() const { return bits_ == 0; }
+  size_t size() const { return static_cast<size_t>(std::popcount(bits_)); }
+
+ private:
+  uint64_t bits_ = 0;
 };
 
 // The shard owning `key` among `num_shards` hash partitions; with one shard,

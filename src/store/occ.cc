@@ -4,7 +4,6 @@
 
 #include "src/common/annotations.h"
 #include "src/common/metrics.h"
-#include "src/common/stats.h"
 #include "src/sim/sim_context.h"
 
 namespace meerkat {
@@ -42,7 +41,6 @@ ZCP_FAST_PATH TxnStatus OccValidate(VStore& store, const std::vector<ReadSetEntr
       bool found = false;
       Timestamp probe_wts;
       if (e->TryReadVersionFast(&found, &probe_wts) && found && probe_wts > r.read_wts) {
-        LocalFastPathCounters().occ_stale_fast_aborts++;
         MetricIncr(kAbortStaleRead);
         if (conflict_hash != nullptr) {
           *conflict_hash = hash;
@@ -192,7 +190,6 @@ ZCP_FAST_PATH void OccValidateBatch(VStore& store, ValidateBatchItem* items, siz
     for (size_t j = 0; j < read_set.size(); j++) {
       OccBatchScratch::ReadProbe& p = reads[read_base + j];
       if (p.fast_stale) {
-        LocalFastPathCounters().occ_stale_fast_aborts++;
         MetricIncr(kAbortStaleRead);
         item.conflict_hash = p.hash;
         for (size_t k = 0; k < j; k++) {

@@ -5,7 +5,6 @@
 
 #include "src/common/annotations.h"
 #include "src/common/metrics.h"
-#include "src/common/stats.h"
 #include "src/sim/sim_context.h"
 
 namespace meerkat {
@@ -30,6 +29,12 @@ void ChargeSimKeyOps(uint64_t n) {
 constexpr int kSeqlockAttempts = 4;
 
 const MetricId kStructuralInserts = MetricsRegistry::Counter("vstore.structural_inserts");
+// Read-path mix: seqlock reads that avoided the key lock, fallbacks to it,
+// read attempts torn by a concurrent writer, and lock-free wts-only probes.
+const MetricId kFastReads = MetricsRegistry::Counter("vstore.fast_reads");
+const MetricId kLockedReads = MetricsRegistry::Counter("vstore.locked_reads");
+const MetricId kSeqlockRetries = MetricsRegistry::Counter("vstore.seqlock_retries");
+const MetricId kVersionProbes = MetricsRegistry::Counter("vstore.version_probes");
 
 }  // namespace
 
@@ -98,7 +103,7 @@ ZCP_FAST_PATH bool KeyEntry::TryReadFast(bool* found, std::string* value_out, Ti
   for (int attempt = 0; attempt < kSeqlockAttempts; attempt++) {
     uint32_t s1 = pub_seq.load(std::memory_order_acquire);
     if (s1 & 1) {
-      LocalFastPathCounters().vstore_seqlock_retries++;
+      MetricIncr(kSeqlockRetries);
       continue;  // Writer mid-publish.
     }
     uint32_t len = pub_len.load(std::memory_order_relaxed);
@@ -114,7 +119,7 @@ ZCP_FAST_PATH bool KeyEntry::TryReadFast(bool* found, std::string* value_out, Ti
     std::atomic_thread_fence(std::memory_order_acquire);
     uint32_t s2 = pub_seq.load(std::memory_order_relaxed);
     if (s1 != s2) {
-      LocalFastPathCounters().vstore_seqlock_retries++;
+      MetricIncr(kSeqlockRetries);
       continue;  // Torn by a concurrent writer; retry.
     }
     if (!ts.Valid()) {
@@ -133,7 +138,7 @@ ZCP_FAST_PATH bool KeyEntry::TryReadVersionFast(bool* found, Timestamp* wts_out)
   for (int attempt = 0; attempt < kSeqlockAttempts; attempt++) {
     uint32_t s1 = pub_seq.load(std::memory_order_acquire);
     if (s1 & 1) {
-      LocalFastPathCounters().vstore_seqlock_retries++;
+      MetricIncr(kSeqlockRetries);
       continue;
     }
     Timestamp ts{pub_wts_time.load(std::memory_order_relaxed),
@@ -141,7 +146,7 @@ ZCP_FAST_PATH bool KeyEntry::TryReadVersionFast(bool* found, Timestamp* wts_out)
     std::atomic_thread_fence(std::memory_order_acquire);
     uint32_t s2 = pub_seq.load(std::memory_order_relaxed);
     if (s1 != s2) {
-      LocalFastPathCounters().vstore_seqlock_retries++;
+      MetricIncr(kSeqlockRetries);
       continue;
     }
     *found = ts.Valid();
@@ -264,7 +269,7 @@ void VStore::InsertLocked(Shard& shard, std::unique_ptr<KeyEntry> entry) {
   shard.entries.push_back(std::move(entry));
   shard.size++;
   // Structural inserts are the slow (lock-taking) minority; a high rate
-  // relative to fastpath.vstore_fast_reads flags a working set still growing.
+  // relative to vstore.fast_reads flags a working set still growing.
   MetricIncr(kStructuralInserts);
   // Release store publishes the fully-constructed entry to lock-free probes.
   table->slots[i].store(raw, std::memory_order_release);
@@ -279,10 +284,10 @@ ZCP_FAST_PATH ReadResult VStore::Read(const std::string& key) {
   }
   ChargeSimKeyOps(1);  // Parity with the per-key lock this read used to take.
   if (entry->TryReadFast(&result.found, &result.value, &result.wts)) {
-    LocalFastPathCounters().vstore_fast_reads++;
+    MetricIncr(kFastReads);
     return result;
   }
-  LocalFastPathCounters().vstore_locked_reads++;
+  MetricIncr(kLockedReads);
   LockGuard<KeyLock> lock(entry->lock);
   if (!entry->wts.Valid()) {
     return result;  // Entry exists (pending writers) but was never committed.
@@ -300,7 +305,7 @@ ZCP_FAST_PATH VersionProbe VStore::ReadVersion(const std::string& key) {
     return probe;
   }
   ChargeSimKeyOps(1);
-  LocalFastPathCounters().vstore_version_probes++;
+  MetricIncr(kVersionProbes);
   if (entry->TryReadVersionFast(&probe.found, &probe.wts)) {
     return probe;
   }

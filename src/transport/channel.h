@@ -32,12 +32,15 @@
 #include <vector>
 
 #include "src/common/annotations.h"
-#include "src/common/stats.h"
+#include "src/common/metrics.h"
 #include "src/transport/spin_then_park.h"
 
 namespace meerkat {
 
 namespace channel_internal {
+// Pushes that found no parked consumer and so skipped the condvar notify.
+inline const MetricId kNotifiesSkipped = MetricsRegistry::Counter("channel.notifies_skipped");
+
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -71,7 +74,7 @@ class Channel {
     if (notify) {
       cv_.NotifyOne();
     } else {
-      LocalFastPathCounters().channel_notifies_skipped++;
+      MetricIncr(channel_internal::kNotifiesSkipped);
     }
     return true;
   }
@@ -100,7 +103,7 @@ class Channel {
     if (notify) {
       cv_.NotifyOne();
     } else {
-      LocalFastPathCounters().channel_notifies_skipped++;
+      MetricIncr(channel_internal::kNotifiesSkipped);
     }
     return n;
   }
@@ -181,9 +184,6 @@ class Channel {
       approx_size_.store(0, std::memory_order_release);
       delivering_ = true;
     }
-    FastPathCounters& c = LocalFastPathCounters();
-    c.channel_batches++;
-    c.channel_batched_items += out.size();
     return true;
   }
 
@@ -197,11 +197,6 @@ class Channel {
         items_.pop_front();
       }
       approx_size_.store(0, std::memory_order_release);
-    }
-    if (!out.empty()) {
-      FastPathCounters& c = LocalFastPathCounters();
-      c.channel_batches++;
-      c.channel_batched_items += out.size();
     }
     return out.size();
   }

@@ -377,11 +377,11 @@ TEST(HintInvalidationTest, PiggybackedHintsEvictStaleEntries) {
   h.system().client_cache().Insert("k", H("k"), "0", {1, 0}, 0);
   ASSERT_TRUE(h.system().client_cache().Contains("k"));
 
-  uint64_t invalidated_before = SnapshotMetrics(false).CounterValue("cache.invalidated");
+  uint64_t invalidated_before = SnapshotMetrics().CounterValue("cache.invalidated");
   EXPECT_EQ(h.RunTxn(*writer, Txn().Rmw("other", "1").Build()), TxnResult::kCommit);
   EXPECT_FALSE(h.system().client_cache().Contains("k"))
       << "validation replies did not carry the invalidation hint";
-  EXPECT_GT(SnapshotMetrics(false).CounterValue("cache.invalidated"), invalidated_before);
+  EXPECT_GT(SnapshotMetrics().CounterValue("cache.invalidated"), invalidated_before);
 }
 
 TEST(HintInvalidationTest, OwnWriteHintsDoNotEvictReadYourOwnWrites) {
@@ -392,10 +392,10 @@ TEST(HintInvalidationTest, OwnWriteHintsDoNotEvictReadYourOwnWrites) {
   h.system().Load("k", "0");
   auto session = h.MakeSession(1);
   EXPECT_EQ(h.RunTxn(*session, Txn().Rmw("k", "1").Build()), TxnResult::kCommit);
-  uint64_t hits_before = SnapshotMetrics(false).CounterValue("cache.hit");
+  uint64_t hits_before = SnapshotMetrics().CounterValue("cache.hit");
   EXPECT_EQ(h.RunTxn(*session, Txn().Rmw("k", "2").Build()), TxnResult::kCommit);
   EXPECT_EQ(h.RunTxn(*session, Txn().Rmw("k", "3").Build()), TxnResult::kCommit);
-  EXPECT_EQ(SnapshotMetrics(false).CounterValue("cache.hit") - hits_before, 2u);
+  EXPECT_EQ(SnapshotMetrics().CounterValue("cache.hit") - hits_before, 2u);
   EXPECT_EQ(h.ValueAt(0, "k"), "3");
 }
 
@@ -416,10 +416,10 @@ TEST(CacheMetricsTest, HitMissAndEvictionCountersMove) {
   SimHarness h(CachedOptions(SystemKind::kMeerkat, EnabledCache()));
   h.system().Load("k", "0");
   auto session = h.MakeSession(1);
-  MetricsSnapshot before = SnapshotMetrics(false);
+  MetricsSnapshot before = SnapshotMetrics();
   EXPECT_EQ(h.RunTxn(*session, Txn().Get("k").Build()), TxnResult::kCommit);  // Miss.
   EXPECT_EQ(h.RunTxn(*session, Txn().Get("k").Build()), TxnResult::kCommit);  // Hit.
-  MetricsSnapshot after = SnapshotMetrics(false);
+  MetricsSnapshot after = SnapshotMetrics();
   EXPECT_GT(after.CounterValue("cache.miss"), before.CounterValue("cache.miss"));
   EXPECT_GT(after.CounterValue("cache.hit"), before.CounterValue("cache.hit"));
 }

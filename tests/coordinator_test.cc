@@ -181,6 +181,53 @@ TEST(CommitCoordinatorTest, DuplicateRepliesDoNotFormQuorum) {
   EXPECT_FALSE(t.coordinator.done());
 }
 
+// Vote masks are indexed by position in the coordinator's group: a reply
+// whose `from` names a replica outside [group_base, group_base + n) is
+// ignored, never counted as an extra voter.
+TEST(CommitCoordinatorTest, ValidateReplyFromOutsideGroupIsNotAVote) {
+  CoordinatorUnderTest t;
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(7, TxnStatus::kValidatedOk));
+  // Two real votes; the supermajority is three.
+  EXPECT_FALSE(t.coordinator.done());
+  EXPECT_EQ(t.transport.Count<AcceptRequest>(), 0u);
+  t.coordinator.OnMessage(ValidateReplyMsg(2, TxnStatus::kValidatedOk));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_TRUE(t.outcome().fast_path());
+}
+
+TEST(CommitCoordinatorTest, AcceptReplyFromOutsideGroupIsNotAVote) {
+  CoordinatorUnderTest t;
+  t.coordinator.OnMessage(ValidateReplyMsg(0, TxnStatus::kValidatedOk));
+  t.coordinator.OnMessage(ValidateReplyMsg(1, TxnStatus::kValidatedAbort));
+  ASSERT_EQ(t.transport.Count<AcceptRequest>(), 3u);
+  t.coordinator.OnMessage(AcceptReplyMsg(0, true));
+  t.coordinator.OnMessage(AcceptReplyMsg(7, true));
+  // One real accept; a majority is two.
+  EXPECT_FALSE(t.coordinator.done());
+  t.coordinator.OnMessage(AcceptReplyMsg(1, true));
+  ASSERT_TRUE(t.coordinator.done());
+  EXPECT_EQ(t.outcome().path, CommitPath::kSlow);
+}
+
+TEST(CommitCoordinatorTest, ValidateRepliesIndexedFromGroupBase) {
+  CapturingTransport transport;
+  CommitCoordinator coordinator(&transport, Address::Client(1), kQ3, RetryPolicy::Disabled());
+  coordinator.set_group_base(3);  // Shard 1: global replicas 3..5.
+  coordinator.Start(0, kTid, kTs, {{"k", Timestamp{1, 0}}}, {{"k", "v"}}, 100);
+  // Replicas 0..2 belong to shard 0: none of them votes here.
+  for (ReplicaId r = 0; r < 3; r++) {
+    coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedOk));
+  }
+  EXPECT_FALSE(coordinator.done());
+  for (ReplicaId r = 3; r < 6; r++) {
+    coordinator.OnMessage(ValidateReplyMsg(r, TxnStatus::kValidatedOk));
+  }
+  ASSERT_TRUE(coordinator.done());
+  EXPECT_TRUE(coordinator.outcome().fast_path());
+}
+
 TEST(CommitCoordinatorTest, EpochSplitVotesNeverCombine) {
   // Two old-epoch OKs plus one new-epoch OK must not make a fast quorum: the
   // new epoch voids the earlier votes.
@@ -333,6 +380,30 @@ TEST(BackupCoordinatorTest, RebidsAboveCompetingView) {
   backup.OnMessage(nack);
   EXPECT_EQ(transport.Count<CoordChangeRequest>(), 6u);
   EXPECT_EQ(transport.Last<CoordChangeRequest>()->view, 5u);
+}
+
+TEST(BackupCoordinatorTest, CoordChangeAckFromOutsideGroupIsNotAVote) {
+  CapturingTransport transport;
+  BackupCoordinator backup(&transport, Address::Client(1), kQ3, 0, kTid, /*view=*/1,
+                           RetryPolicy::Disabled(), /*timer_base=*/0);
+  backup.Start();
+  auto ack_from = [](ReplicaId from) {
+    Message msg;
+    msg.src = Address::Replica(from);
+    CoordChangeAck ack;
+    ack.tid = kTid;
+    ack.view = 1;
+    ack.ok = true;
+    ack.from = from;
+    msg.payload = ack;
+    return msg;
+  };
+  backup.OnMessage(ack_from(0));
+  backup.OnMessage(ack_from(7));
+  // One real ack; a majority is two, so no ACCEPT round starts yet.
+  EXPECT_EQ(transport.Count<AcceptRequest>(), 0u);
+  backup.OnMessage(ack_from(1));
+  EXPECT_EQ(transport.Count<AcceptRequest>(), 3u);
 }
 
 TEST(BackupCoordinatorTest, GroupBaseAddressesCorrectShard) {

@@ -1,7 +1,8 @@
 // MetricsRegistry and trace-ring tests: registration idempotence, cross-
-// thread summation, gauge arithmetic, JSON rendering, and the torn-snapshot
-// stress that the CI TSan job runs — snapshots racing recorders must be
-// data-race-free and counter totals monotone.
+// thread summation, gauge arithmetic, the fast-path counters' exact deltas,
+// JSON rendering, and the torn-snapshot stress that the CI TSan job runs —
+// snapshots racing recorders must be data-race-free and counter totals
+// monotone.
 
 #include "src/common/metrics.h"
 
@@ -13,6 +14,10 @@
 #include <vector>
 
 #include "src/common/trace.h"
+#include "src/protocol/coordinator.h"
+#include "src/store/vstore.h"
+#include "src/transport/channel.h"
+#include "tests/test_util.h"
 
 namespace meerkat {
 namespace {
@@ -44,17 +49,17 @@ TEST(MetricsRegistryTest, RegistrationIsIdempotentByName) {
 }
 
 TEST(MetricsRegistryTest, InvalidIdRecordingIsANoOp) {
-  MetricsSnapshot before = SnapshotMetrics(false);
+  MetricsSnapshot before = SnapshotMetrics();
   MetricIncr(MetricId{}, 100);
   MetricGaugeAdd(MetricId{}, -100);
   MetricRecordValue(MetricId{}, 100);
-  MetricsSnapshot after = SnapshotMetrics(false);
+  MetricsSnapshot after = SnapshotMetrics();
   EXPECT_EQ(before.counters, after.counters);
   EXPECT_EQ(before.gauges, after.gauges);
 }
 
 TEST(MetricsRegistryTest, CountersSumAcrossThreads) {
-  uint64_t base = SnapshotMetrics(false).CounterValue("test.counter");
+  uint64_t base = SnapshotMetrics().CounterValue("test.counter");
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; t++) {
     threads.emplace_back([] {
@@ -67,18 +72,18 @@ TEST(MetricsRegistryTest, CountersSumAcrossThreads) {
   for (auto& th : threads) {
     th.join();
   }
-  EXPECT_EQ(SnapshotMetrics(false).CounterValue("test.counter"), base + 4 * 1010);
+  EXPECT_EQ(SnapshotMetrics().CounterValue("test.counter"), base + 4 * 1010);
 }
 
 TEST(MetricsRegistryTest, GaugeDeltasSumToLiveCount) {
-  int64_t base = SnapshotMetrics(false).GaugeValue("test.gauge");
+  int64_t base = SnapshotMetrics().GaugeValue("test.gauge");
   // One thread "inserts" 50, another "erases" 30 of them: the global live
   // count is the cross-thread sum even though neither thread saw both sides.
   std::thread inserter([] { MetricGaugeAdd(kTestGauge, 50); });
   inserter.join();
   std::thread eraser([] { MetricGaugeAdd(kTestGauge, -30); });
   eraser.join();
-  EXPECT_EQ(SnapshotMetrics(false).GaugeValue("test.gauge"), base + 20);
+  EXPECT_EQ(SnapshotMetrics().GaugeValue("test.gauge"), base + 20);
 }
 
 TEST(MetricsRegistryTest, HistogramMergesAcrossThreads) {
@@ -86,7 +91,7 @@ TEST(MetricsRegistryTest, HistogramMergesAcrossThreads) {
   low.join();
   std::thread high([] { MetricRecordValue(kTestHist, 1'000'000); });
   high.join();
-  MetricsSnapshot snap = SnapshotMetrics(false);
+  MetricsSnapshot snap = SnapshotMetrics();
   auto it = snap.histograms.find("test.hist");
   ASSERT_NE(it, snap.histograms.end());
   EXPECT_GE(it->second.Count(), 2u);
@@ -94,18 +99,47 @@ TEST(MetricsRegistryTest, HistogramMergesAcrossThreads) {
   EXPECT_GE(it->second.MaxNanos(), 1'000'000u);
 }
 
-TEST(MetricsRegistryTest, SnapshotFoldsFastPathCounters) {
-  MetricsSnapshot snap = SnapshotMetrics(true);
-  EXPECT_NE(snap.counters.find("fastpath.vstore_fast_reads"), snap.counters.end());
-  MetricsSnapshot bare = SnapshotMetrics(false);
-  EXPECT_EQ(bare.counters.find("fastpath.vstore_fast_reads"), bare.counters.end());
+// The fast-path instruments are ordinary registry counters: each recording
+// site adds exactly its event count, and a snapshot holds no "fastpath." key.
+TEST(MetricsRegistryTest, VStoreFastReadCountsOnce) {
+  VStore store;
+  store.LoadKey("k", "v", Timestamp{1, 0});
+  uint64_t before = SnapshotMetrics().CounterValue("vstore.fast_reads");
+  ReadResult r = store.Read("k");
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(SnapshotMetrics().CounterValue("vstore.fast_reads"), before + 1);
+}
+
+TEST(MetricsRegistryTest, ChannelPushWithoutParkedConsumerCountsSkippedNotify) {
+  Channel<int> channel;
+  uint64_t before = SnapshotMetrics().CounterValue("channel.notifies_skipped");
+  ASSERT_TRUE(channel.Push(1));
+  EXPECT_EQ(SnapshotMetrics().CounterValue("channel.notifies_skipped"), before + 1);
+}
+
+TEST(MetricsRegistryTest, ValidateFanOutCountsSharedPayloads) {
+  CapturingTransport transport;
+  CommitCoordinator coordinator(&transport, Address::Client(1), QuorumConfig::ForReplicas(3),
+                                RetryPolicy::Disabled());
+  uint64_t before = SnapshotMetrics().CounterValue("coord.payload_fanout_shares");
+  coordinator.Start(/*core=*/0, TxnId{1, 1}, Timestamp{100, 1}, {{"k", Timestamp{1, 0}}},
+                    {{"k", "v"}}, /*timer_base=*/100);
+  ASSERT_EQ(transport.Count<ValidateRequest>(), 3u);
+  // Three VALIDATEs share one payload: two set copies avoided.
+  EXPECT_EQ(SnapshotMetrics().CounterValue("coord.payload_fanout_shares"), before + 2);
+}
+
+TEST(MetricsRegistryTest, SnapshotHasNoFastPathFold) {
+  for (const auto& [name, value] : SnapshotMetrics().counters) {
+    EXPECT_NE(name.rfind("fastpath.", 0), 0u) << name;
+  }
 }
 
 TEST(MetricsRegistryTest, ToJsonRendersEveryKindWellFormed) {
   MetricIncr(kTestCounter);
   MetricGaugeAdd(kTestGauge, 1);
   MetricRecordValue(kTestHist, 5000);
-  std::string json = SnapshotMetrics(false).ToJson();
+  std::string json = SnapshotMetrics().ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
@@ -122,7 +156,7 @@ TEST(MetricsRegistryTest, ToJsonRendersEveryKindWellFormed) {
 }
 
 TEST(MetricsRegistryTest, MissingNamesReadAsZero) {
-  MetricsSnapshot snap = SnapshotMetrics(false);
+  MetricsSnapshot snap = SnapshotMetrics();
   EXPECT_EQ(snap.CounterValue("test.never_registered"), 0u);
   EXPECT_EQ(snap.GaugeValue("test.never_registered"), 0);
 }
@@ -143,17 +177,17 @@ TEST(MetricsRegistryTest, CapacityOverflowYieldsInvalidIdNotCorruption) {
   EXPECT_FALSE(overflowed.valid());
   ASSERT_TRUE(last_valid.valid());
 
-  int64_t base = SnapshotMetrics(false).GaugeValue("test.gauge");
+  int64_t base = SnapshotMetrics().GaugeValue("test.gauge");
   MetricGaugeAdd(overflowed, 1000);  // Dropped, not written anywhere.
   MetricGaugeAdd(kTestGauge, 7);     // Pre-overflow id still lands.
-  EXPECT_EQ(SnapshotMetrics(false).GaugeValue("test.gauge"), base + 7);
+  EXPECT_EQ(SnapshotMetrics().GaugeValue("test.gauge"), base + 7);
 }
 
 // The TSan target: recorder threads spin on counter/gauge records while the
 // main thread snapshots mid-flight. Torn totals are expected; data races and
 // non-monotone counter totals are not.
 TEST(MetricsRegistryTest, TornSnapshotStressIsMonotoneAndRaceFree) {
-  uint64_t counter_base = SnapshotMetrics(false).CounterValue("test.stress_counter");
+  uint64_t counter_base = SnapshotMetrics().CounterValue("test.stress_counter");
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 200'000;
   std::atomic<bool> go{false};
@@ -173,14 +207,14 @@ TEST(MetricsRegistryTest, TornSnapshotStressIsMonotoneAndRaceFree) {
 
   uint64_t last = counter_base;
   for (int i = 0; i < 50; i++) {
-    uint64_t now = SnapshotMetrics(false).CounterValue("test.stress_counter");
+    uint64_t now = SnapshotMetrics().CounterValue("test.stress_counter");
     EXPECT_GE(now, last) << "counter total went backwards across snapshots";
     last = now;
   }
   for (auto& th : threads) {
     th.join();
   }
-  MetricsSnapshot final_snap = SnapshotMetrics(false);
+  MetricsSnapshot final_snap = SnapshotMetrics();
   EXPECT_EQ(final_snap.CounterValue("test.stress_counter"),
             counter_base + kThreads * kPerThread);
   // Every +1 was paired with a -1, so quiescent gauge total is unchanged.

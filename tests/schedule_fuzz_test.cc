@@ -303,14 +303,14 @@ TEST(ScheduleFuzzTest, ConflictingChainsWithTrimInterleaved) {
 // abort, never a committed stale read (the serial-order check would flag it).
 TEST(ScheduleFuzzTest, ConflictingChainsWithCacheEnabled) {
   CacheOptions cache = CacheOptions().WithEnabled(true).WithLease(1'000'000'000'000ULL);
-  uint64_t hits_before = SnapshotMetrics(false).CounterValue("cache.hit");
+  uint64_t hits_before = SnapshotMetrics().CounterValue("cache.hit");
   for (uint64_t seed = 0; seed < 150; seed++) {
     FuzzOutcome outcome = RunSchedule(seed + 3000, 2, /*txns_per_client=*/2, GcOptions(), cache);
     for (const std::string& v : outcome.violations) {
       ADD_FAILURE() << "seed " << seed << ": " << v;
     }
   }
-  uint64_t hits_after = SnapshotMetrics(false).CounterValue("cache.hit");
+  uint64_t hits_after = SnapshotMetrics().CounterValue("cache.hit");
   EXPECT_GT(hits_after, hits_before) << "no schedule ever served a cached read — vacuous variant";
 }
 

@@ -202,11 +202,10 @@ TEST_F(SessionFixture, StatsLatencyCountsEveryAttempt) {
 TEST_F(SessionFixture, SteadyStateCommitAllocationsBounded) {
   // Allocation audit of the client commit path: operator new calls per
   // steady-state single-key RMW commit, counted across the whole simulated
-  // round (session, coordinator, transport, replicas). The bound, 24, is the
-  // count this test measured while every commit still heap-allocated its
-  // coordinator; coordinator slots reused across transactions must not make
-  // it worse.
-  constexpr double kAllocsPerCommitBound = 24;
+  // round (session, coordinator, transport, replicas). The bound, 20, is the
+  // count this test measures with coordinator slots reused across
+  // transactions and vote sets kept as bitmasks; nothing may make it worse.
+  constexpr double kAllocsPerCommitBound = 20;
   Load("k", "v");
   auto session = MakeSession();
   auto commit_once = [&] {

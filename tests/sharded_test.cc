@@ -205,6 +205,16 @@ TEST(ShardedSystemDeathTest, CreateSystemRejectsUnsupportedShardCounts) {
   }
   EXPECT_DEATH({ SimHarness h(DefaultOptions(SystemKind::kMeerkat).WithShards(0)); },
                "num_shards 0 unsupported");
+  // Replica sets are 64-bit masks: Meerkat and primary-backup systems alike
+  // reject an empty or oversized group.
+  for (SystemKind kind : {SystemKind::kMeerkat, SystemKind::kMeerkatPb}) {
+    EXPECT_DEATH({ SimHarness h(DefaultOptions(kind).WithReplicas(0)); },
+                 "0 replicas per group unsupported")
+        << ToString(kind);
+    EXPECT_DEATH({ SimHarness h(DefaultOptions(kind).WithReplicas(65)); },
+                 "65 replicas per group unsupported")
+        << ToString(kind);
+  }
 }
 
 // --- The client's decision for a shard whose coordinator failed -------------

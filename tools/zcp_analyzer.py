@@ -1,55 +1,56 @@
 #!/usr/bin/env python3
-"""zcp_analyzer: interprocedural semantic ZCP conformance analysis (Tier 2).
+"""zcp_analyzer: interprocedural ZCP conformance analysis.
 
-tools/zcp_lint.py (Tier 1) is a fast regex pass over the *bodies* of
-functions marked ZCP_FAST_PATH — it cannot see a blocking lock hidden one
-call deep. This analyzer closes that gap: it builds the interprocedural
-call graph of src/, computes the transitive closure of every ZCP_FAST_PATH
-root, and audits everything reachable. Zero-coordination is a whole-program
-property (paper §3); this is the tool that makes it machine-checked.
+The Meerkat fast path (functions marked ZCP_FAST_PATH) must stay free of
+cross-core coordination (paper §3). That is a whole-program property: a
+blocking lock hidden one call deep breaks it as surely as one in the marked
+body. This analyzer builds the interprocedural call graph of src/, computes
+the transitive closure of every ZCP_FAST_PATH root, and audits everything
+reachable, plus three repo-wide checks (atomic orders, writable globals,
+lock order) and an inventory that pins the root set and every atomic order.
 
 Rules (fingerprints never embed line numbers, so baselines survive churn):
 
   ZCPA001  a blocking mutex acquisition (Mutex, RecursiveMutex, SharedMutex,
            std::mutex guards) is reachable from a fast-path root. KeyLock
-           (the per-key/structural spinlock) is sanctioned, as in Tier 1.
+           (the per-key/structural spinlock) is sanctioned.
   ZCPA002  an allocating call (new, malloc, make_unique, make_shared) is
            reachable from a fast-path root. Container ops that may allocate
-           are out of scope (steady-state capacity reuse), as in Tier 1.
+           are out of scope (steady-state capacity reuse).
   ZCPA003  a cross-partition trecord access is reachable from a fast-path
            root (Partition(expr) with a non-self core, or the *All helpers).
   ZCPA004  std::atomic operation without an explicit memory order, anywhere
-           in src/. Unlike Tier 1's name heuristic, receivers are resolved
-           through the class member-type map, so any atomic member is
-           covered no matter what it is called.
-  ZCPA005  a writable (non-const, non-atomic) global is referenced from the
-           fast-path closure. Atomic globals with explicit orders are the
-           sanctioned pattern for process-wide flags (dap_check mode);
-           non-atomic writable globals reachable from the hot path are
-           cross-core shared state by construction.
+           in src/. Receivers are resolved through the class member-type
+           map, locals (including `auto` range-for variables) and arrays of
+           atomics, so any atomic is covered no matter what it is called.
+           Atomics inside lambda bodies count too.
+  ZCPA005  a writable global: any writable namespace-scope variable in
+           src/, atomic or not, is a finding at its declaration unless it
+           carries an inline waiver with a reason; a writable non-atomic
+           global referenced from the fast-path closure is a finding at the
+           reference. Writable process-globals are cross-core shared state
+           by construction.
   ZCPA010  lock-order cycle: the lock-order graph extracted from nested
            guard scopes (including locks acquired by callees while a guard
            is held) contains a cycle — a static deadlock.
-  ZCPA020  atomic-order inventory drift: the set of atomic operations and
-           their explicit orders no longer matches the committed audit
-           baseline (tools/atomic_order_baseline.json). Run with
-           --update-inventory after updating DESIGN.md §8.
+  ZCPA020  inventory drift: the fast-path root set or the set of atomic
+           operations and their explicit orders no longer matches the
+           committed inventory (tools/atomic_order_baseline.json). Deleting
+           a ZCP_FAST_PATH marker shows up here. Run with --update-inventory
+           after updating DESIGN.md §8.
 
-Backends (--backend auto|libclang|ast-json|internal):
+Backends (--backend auto|libclang|internal):
 
-  libclang   clang.cindex over compile_commands.json (-p DIR). Preferred
-             when the Python bindings and libclang are installed.
-  ast-json   `clang++ -Xclang -ast-dump=json -fsyntax-only` per TU, flags
-             taken from compile_commands.json. Needs only a clang binary.
+  libclang   clang.cindex over compile_commands.json (-p DIR) contributes
+             the semantic call graph on top of the internal model.
   internal   pure-stdlib C++ source model: scope-aware function extraction,
              class member-type maps for receiver resolution, brace-matched
              guard scopes. The reference backend — always available, used
              by the ctest entries, and the cross-check in CI.
 
-  `auto` picks the best available and falls back to internal (with a
-  warning) if a clang backend is missing or crashes; --strict-backend makes
-  such a fallback fatal (CI uses it so a broken clang setup cannot
-  silently weaken the job).
+  `auto` tries libclang and falls back to internal (with a warning) if it
+  is missing or crashes; --strict-backend makes such a fallback fatal (CI
+  uses it so a broken clang setup cannot silently weaken the job).
 
 Boundaries: a function marked ZCP_SLOW_PATH (src/common/annotations.h) is
 an explicit fast/slow boundary — its caller provably leaves the fast path
@@ -59,48 +60,39 @@ staged replies before maintenance handling). Closure traversal stops there;
 inside lambda bodies are treated as deferred (thread entry functions,
 stored callbacks) and are not attributed to the enclosing function's locks
 or call edges — the one known soundness gap, shared with the guard-scope
-extraction, for immediately-invoked lambdas.
+extraction, for immediately-invoked lambdas. Their atomic sites are still
+recorded.
 
-Baselines share the schema in tools/zcp_baseline.py with Tier 1; entries
-should carry a per-entry "why". Suppression: append
-`// zcp-analyzer: allow(ZCPAxxx) <reason>` to the offending line, or put
-it in a standalone comment block directly above it. Lines already carrying
-the Tier 1 spelling `// zcp-lint: allow(ZCPxxx)` are honoured for the
-matching ZCPA rule so the two tiers never demand duplicate waivers.
+Baseline (--baseline): {"findings": [{"fp": <fingerprint>, "why": <reason>},
+...]}. Every entry must carry a non-empty "why"; anything else is an error.
+Suppression: append `// zcp-analyzer: allow(ZCPAxxx) <reason>` to the
+offending line, or put it in a standalone comment block directly above it.
+A waiver without a reason is ignored.
 
 --self-test runs the fixture corpus in tools/zcp_analyzer_fixtures/: one
 known-bad TU per rule asserting the rule fires (with the full call chain),
-plus a clean TU asserting silence.
+lines marked `// planted: ZCPAxxx` asserting one finding per planted site,
+clean TUs asserting silence, and marker-removal variants asserting that the
+silence is earned.
 """
 
 import argparse
 import json
-import os
 import re
 import shlex
-import subprocess
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import zcp_baseline  # noqa: E402  (shared baseline JSON schema)
 
 RULES = {
     "ZCPA001": "blocking mutex acquisition reachable from fast-path root",
     "ZCPA002": "allocating call reachable from fast-path root",
     "ZCPA003": "cross-partition access reachable from fast-path root",
     "ZCPA004": "atomic operation without explicit memory order",
-    "ZCPA005": "writable global referenced from fast-path closure",
+    "ZCPA005": "writable global",
     "ZCPA010": "lock-order cycle (static deadlock)",
-    "ZCPA020": "atomic-order inventory drift vs committed baseline",
+    "ZCPA020": "inventory drift vs committed baseline",
 }
-
-# Tier 1 rule ids whose `zcp-lint: allow(...)` suppressions this tool honours
-# for the matching ZCPA rule (same semantic rule, different tier).
-LINT_RULE_ALIAS = {"ZCP001": "ZCPA001", "ZCP002": "ZCPA002",
-                   "ZCP003": "ZCPA003", "ZCP004": "ZCPA004",
-                   "ZCP005": "ZCPA005"}
 
 DEFAULT_SRC_GLOBS = ["src/**/*.h", "src/**/*.cc"]
 MAX_CHAIN_DEPTH = 32
@@ -126,9 +118,11 @@ ATOMIC_OPS = ("load", "store", "exchange", "fetch_add", "fetch_sub",
               "fetch_and", "fetch_or", "fetch_xor", "compare_exchange_weak",
               "compare_exchange_strong", "test_and_set", "clear", "test",
               "wait", "notify_one", "notify_all")
+# `.op(` / `->op(`; the receiver is recovered by scanning backwards over the
+# postfix expression (receiver_before), so subscripts holding operators and
+# calls (`core_load_[core % core_load_.size()].inflight`) resolve too.
 ATOMIC_OP_RE = re.compile(
-    r"([A-Za-z_][\w\[\]>.()-]*?)\s*(?:\.|->)\s*(" + "|".join(ATOMIC_OPS) +
-    r")\s*\(")
+    r"(?:\.|->)\s*(" + "|".join(ATOMIC_OPS) + r")\s*\(")
 FENCE_RE = re.compile(r"\b(?:std::)?atomic_thread_fence\s*\(")
 ORDER_RE = re.compile(r"memory_order(?:_|::\s*)(\w+)")
 NO_ORDER_PARAM_OPS = {"notify_one", "notify_all"}
@@ -137,7 +131,21 @@ NO_ORDER_PARAM_OPS = {"notify_one", "notify_all"}
 # fallback alone — the receiver's type must resolve.
 GENERIC_NAME_OPS = {"clear", "test", "wait", "notify_one", "notify_all"}
 
-SUPPRESS_RE = re.compile(r"//\s*zcp-(lint|analyzer):\s*allow\((ZCPA?\d{3})\)")
+# A waiver in a source comment: the rule id plus a reason on the same line.
+# The comment stripper keeps only the waived rule ids, as `//zcp:ZCPAxxx`.
+WAIVER_RE = re.compile(r"zcp-analyzer:\s*allow\((ZCPA\d{3})\)(?=[ \t]*\S)")
+KEPT_WAIVER_RE = re.compile(r"//zcp:(ZCPA\d{3})")
+
+# Function-like annotation macros (src/common/annotations.h). An all-caps
+# name followed by '(' is one of these only if listed here; any other
+# (WireWriter::U32, U64) is an ordinary function.
+ANNOTATION_MACROS = {
+    "CAPABILITY", "GUARDED_BY", "PT_GUARDED_BY", "ACQUIRED_BEFORE",
+    "ACQUIRED_AFTER", "REQUIRES", "REQUIRES_SHARED", "ACQUIRE",
+    "ACQUIRE_SHARED", "RELEASE", "RELEASE_SHARED", "RELEASE_GENERIC",
+    "TRY_ACQUIRE", "TRY_ACQUIRE_SHARED", "EXCLUDES", "ASSERT_CAPABILITY",
+    "ASSERT_SHARED_CAPABILITY", "RETURN_CAPABILITY",
+}
 
 CALL_RE = re.compile(r"(?<![\w.>:])((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)\s*\(")
 MEMBER_CALL_RE = re.compile(
@@ -147,8 +155,7 @@ NOT_CALLS = {
     "catch", "new", "delete", "static_cast", "dynamic_cast", "const_cast",
     "reinterpret_cast", "decltype", "defined", "assert", "static_assert",
     "noexcept", "throw", "operator", "typeid", "co_await", "co_return",
-    "REQUIRES", "EXCLUDES", "ACQUIRE", "RELEASE", "GUARDED_BY", "CAPABILITY",
-}
+} | ANNOTATION_MACROS
 
 GUARD_DECL_RE = re.compile(
     r"\b(LockGuard|MutexLock|RecursiveMutexLock|std::lock_guard|"
@@ -156,14 +163,17 @@ GUARD_DECL_RE = re.compile(
     r"\s*(?:<\s*([\w:]+)\s*>)?\s+\w+\s*[({]\s*([^;{}]*?)\s*[)}]\s*;")
 MANUAL_LOCK_RE = re.compile(r"([\w.>\[\]-]+?)\s*(?:\.|->)\s*lock\s*\(\s*\)")
 
+# A namespace-scope variable definition (the statement text, whitespace-
+# joined, without its ';'). Immutable and per-thread storage is exempt, as
+# are declarations that are not definitions (extern, using, friend, ...).
 GLOBAL_DECL_RE = re.compile(
-    r"^\s*(?:static\s+)?"
+    r"^(?:(?:static|inline)\s+)*"
     r"(?!.*\b(?:const|constexpr|constinit|thread_local|typedef|using|return|"
-    r"class|struct|enum|namespace|template|if|for|while|switch|case|extern)\b)"
-    r"(?P<type>(?:std::)?(?:atomic\s*<[^;=]+>|atomic_\w+|int|unsigned|long|"
-    r"bool|char|float|double|size_t|uint\d+_t|int\d+_t|string|vector\s*<[^;=]*>|"
-    r"map\s*<[^;=]*>))\s*&?\s*"
-    r"(?P<name>\w+)\s*(?:=[^=]|\{|;|$)")
+    r"class|struct|union|enum|namespace|template|extern|friend|operator|"
+    r"static_assert)\b)"
+    r"(?P<type>[A-Za-z_][\w:]*(?:\s*<.*>)?)\s*[*&]*\s*"
+    r"(?P<name>[A-Za-z_]\w*)\s*(?:\[[^\]]*\]\s*)?(?:=.*|\{.*\})?$")
+ATOMIC_IN_TYPE_RE = re.compile(r"\batomic(?:_\w+)?\b")
 
 FUNC_NAME_RE = re.compile(
     r"((?:[A-Za-z_]\w*::)*(?:~?[A-Za-z_]\w*|operator\s*(?:\(\)|\[\]|[^\s(]{1,3})))\s*\($")
@@ -171,8 +181,9 @@ FUNC_NAME_RE = re.compile(
 
 def strip_comments_and_strings(text):
     """Blanks comments and string/char literals, preserving line structure.
-    Comments carrying `zcp-lint:`/`zcp-analyzer:` markers stay visible so
-    suppressions survive the strip."""
+    A `//` comment carrying waivers keeps only their rule ids, as
+    `//zcp:ZCPAxxx`, so suppressions survive the strip but no comment text
+    (a stray ';', words) leaks into the code around it."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -180,8 +191,9 @@ def strip_comments_and_strings(text):
         if c == "/" and i + 1 < n and text[i + 1] == "/":
             j = text.find("\n", i)
             j = n if j == -1 else j
-            comment = text[i:j]
-            out.append(comment if "zcp-" in comment else " " * (j - i))
+            rules = WAIVER_RE.findall(text[i:j])
+            kept = "".join(f"//zcp:{r} " for r in rules)
+            out.append(kept.ljust(j - i))
             i = j
         elif c == "/" and i + 1 < n and text[i + 1] == "*":
             j = text.find("*/", i + 2)
@@ -325,7 +337,7 @@ class AtomicSite:
 class Func:
     __slots__ = ("qual", "name", "cls", "file", "line", "fast_path",
                  "slow_path", "calls", "ops", "lock_acqs", "param_types",
-                 "local_types")
+                 "local_types", "local_atomics")
 
     def __init__(self, qual, name, cls, file, line, fast_path,
                  slow_path=False):
@@ -341,6 +353,7 @@ class Func:
         self.lock_acqs = []
         self.param_types = {}
         self.local_types = {}
+        self.local_atomics = []   # (pos, `auto` range-for var, object or None)
 
 
 class Model:
@@ -353,12 +366,14 @@ class Model:
         self.class_members = defaultdict(dict)   # cls -> member -> base type
         self.atomic_members = defaultdict(set)   # cls -> {member}
         self.atomic_globals = set()
-        self.writable_globals = {}            # name -> (file, line, snippet)
+        self.writable_globals = {}            # non-atomic name -> (file, line, snippet)
+        self.global_decls = []                # (file, line, name, waived)
         self.atomic_sites = []
         self.marked_decl_names = set()        # ZCP_FAST_PATH on declarations
         self.slow_decl_names = set()          # ZCP_SLOW_PATH on declarations
         self.backend = "internal"
         self.notes = []
+        self.resolver = None   # the InternalBackend that built it: receiver types
 
     def add_func(self, f):
         self.funcs.append(f)
@@ -369,8 +384,8 @@ class Model:
 
     def finalize(self):
         # A ZCP_FAST_PATH marker on a declaration promotes every definition
-        # of that name to a root (the Tier 1 linter historically missed
-        # this; the analyzer handles it natively).
+        # of that name to a root, so a marker that looks applied is never
+        # silently skipped.
         for f in self.funcs:
             key = (f.cls + "::" + f.name) if f.cls else f.name
             if key in self.marked_decl_names or f.name in self.marked_decl_names:
@@ -387,14 +402,18 @@ class Model:
                 f.slow_path = False
 
 
-def line_suppressions(line):
-    """Rules waived on this (stripped) source line, with lint aliases
-    mapped onto their ZCPA equivalents."""
-    out = set()
-    for tier, rule in SUPPRESS_RE.findall(line):
-        out.add(rule)
-        if tier == "lint" and rule in LINT_RULE_ALIAS:
-            out.add(LINT_RULE_ALIAS[rule])
+def suppressions_at(lines, idx):
+    """Rules waived at stripped line `idx`: the waivers on the line itself
+    plus a standalone comment block directly above it (the readable form for
+    multi-line reasons). A trailing comment on the previous statement does
+    not leak downward. Comment lines without a waiver were blanked by the
+    stripper, so the walk crosses whitespace-only lines to reach the waiver
+    at the top of a comment block."""
+    out = set(KEPT_WAIVER_RE.findall(lines[idx]))
+    j = idx - 1
+    while j >= 0 and (not lines[j].strip() or lines[j].strip().startswith("//")):
+        out |= set(KEPT_WAIVER_RE.findall(lines[j]))
+        j -= 1
     return out
 
 
@@ -411,17 +430,23 @@ DECL_QUALIFIERS_RE = re.compile(
     r"ACQUIRED_BEFORE\s*\([^)]*\)|ACQUIRED_AFTER\s*\([^)]*\))\s*")
 LOCAL_DECL_RE = re.compile(
     r"\b([A-Z]\w*(?:::\w+)*)\s*[&*]*\s+([a-z_]\w*)\s*(?:=|\(|\{|;)")
+# Atomic locals and references, whatever their name: `std::atomic<bool>
+# stop{false};`, `std::atomic<uint64_t>& word = ...`.
+ATOMIC_LOCAL_RE = re.compile(
+    r"\b(?:std::)?atomic(?:\s*<[^;{}()]*>|_\w+)\s*[&*]*\s*([A-Za-z_]\w*)"
+    r"\s*(?:=|\{|\(|;)")
 RANGE_FOR_RE = re.compile(
     r"\bfor\s*\(\s*(?:const\s+)?([\w:]+(?:\s*<[^;()]*?>)?)\s*[&*]*\s*"
-    r"(\w+)\s*:")
-ATOMIC_TYPE_RE = re.compile(r"^(?:std::)?atomic")
+    r"(\w+)\s*:(?!:)")
+# Template arguments that never name a container's element.
+NOT_ELEMENT_RE = re.compile(r"(?:Hash|Eq|Equal|Less|Compare|Allocator)$")
 LOCK_MEMBER_TYPES = {"Mutex", "RecursiveMutex", "SharedMutex", "KeyLock",
                      "std::mutex", "std::recursive_mutex", "std::shared_mutex"}
 
 
 def classify_introducer(intro):
     """Classifies the text before a `{` at namespace/class level."""
-    s = " ".join(intro.split())
+    s = " ".join(KEPT_WAIVER_RE.sub("", intro).split())
     if not s:
         return ("block", "")
     if re.match(r"^(?:inline\s+)?namespace\b", s):
@@ -466,8 +491,8 @@ def extract_func_name(intro):
                 m = FUNC_NAME_RE.search(intro[:i + 1])
                 if m:
                     name = m.group(1)
-                    # Skip macro-style all-caps annotation wrappers.
-                    if name.split("::")[-1].isupper():
+                    # Skip annotation wrappers (REQUIRES(mu_) ...).
+                    if name in ANNOTATION_MACROS:
                         depth += 1
                         i += 1
                         continue
@@ -493,7 +518,7 @@ def parse_params(intro, model):
         if c == "(":
             if depth == 0 and start is None:
                 mname = FUNC_NAME_RE.search(intro[:i + 1])
-                if mname and not mname.group(1).split("::")[-1].isupper():
+                if mname and mname.group(1) not in ANNOTATION_MACROS:
                     start = i + 1
             depth += 1
         elif c == ")":
@@ -527,6 +552,84 @@ def split_top_level(s, sep):
     return out
 
 
+def split_postfix(expr):
+    """Splits a postfix expression at its top-level `.`/`->` into member
+    names, dropping subscripts and call arguments:
+    `a->b[i % n].c()` -> ['a', 'b', 'c']."""
+    parts, cur, depth, i = [], [], 0, 0
+    while i < len(expr):
+        c = expr[i]
+        if c in "([":
+            depth += 1
+        elif c in ")]":
+            depth -= 1
+        elif depth == 0 and (c == "." or expr.startswith("->", i)):
+            parts.append("".join(cur))
+            cur = []
+            i += 2 if c == "-" else 1
+            continue
+        elif depth == 0:
+            cur.append(c)
+        i += 1
+    parts.append("".join(cur))
+    return [p.strip().lstrip(":&*(").strip() for p in parts]
+
+
+def receiver_before(text, end):
+    """The postfix expression ending just before offset `end` (the `.`/`->`
+    of a member call), scanned backwards over identifiers, `.`, `->`, `::`
+    and balanced (...)/[...] groups: `core_load_[core % n].inflight`."""
+    i = end
+    while True:
+        j = i
+        while j > 0 and text[j - 1] in " \t\n":
+            j -= 1
+        if j > 0 and text[j - 1] in ")]":
+            close = text[j - 1]
+            opener = "(" if close == ")" else "["
+            depth, k = 0, j - 1
+            while k >= 0:
+                if text[k] == close:
+                    depth += 1
+                elif text[k] == opener:
+                    depth -= 1
+                    if depth == 0:
+                        break
+                k -= 1
+            if k < 0:
+                break
+            i = k
+            continue
+        k = j
+        while k > 0 and (text[k - 1].isalnum() or text[k - 1] == "_"):
+            k -= 1
+        if k == j:
+            break
+        i = k
+        while k > 0 and text[k - 1] in " \t\n":
+            k -= 1
+        if text[max(0, k - 2):k] in ("->", "::"):
+            i = k - 2
+        elif k > 0 and text[k - 1] == ".":
+            i = k - 1
+        else:
+            break
+    return text[i:end].strip()
+
+
+def range_expr(text, pos):
+    """The range expression of a range-for whose ':' ends at `pos`."""
+    depth = 1
+    for i in range(pos, len(text)):
+        if text[i] in "([":
+            depth += 1
+        elif text[i] in ")]":
+            depth -= 1
+            if depth == 0:
+                return text[pos:i].strip()
+    return ""
+
+
 class InternalBackend:
     """Builds a Model from stripped source text, no compiler needed."""
 
@@ -552,6 +655,7 @@ class InternalBackend:
             func.param_types = parse_params(intro, self.model)
             self.parse_body(func, body, body_start, rel, text)
         self.model.finalize()
+        self.model.resolver = self
         return self.model
 
     def parse_file(self, rel, text):
@@ -560,6 +664,7 @@ class InternalBackend:
         stack = []  # (kind, name, open_pos)
         seg_start = 0
         i, n = 0, len(text)
+        lines = text.split("\n")
 
         def scope_classes():
             return [name for kind, name, _ in stack if kind == "class"]
@@ -607,16 +712,23 @@ class InternalBackend:
                         seg_start = i + 1
             elif c == ";":
                 if not stack or stack[-1][0] in ("namespace", "class"):
-                    stmt = " ".join(text[seg_start:i].split())
-                    self.handle_statement(stmt, rel,
-                                          text.count("\n", 0, seg_start) + 1,
-                                          scope_classes(), stack)
+                    # Waivers count from the declaration's first line (and
+                    # the comment block above it) and from its ';' line.
+                    seg = KEPT_WAIVER_RE.sub(lambda w: " " * len(w.group(0)),
+                                             text[seg_start:i])
+                    first = text.count("\n", 0, seg_start + len(seg)
+                                       - len(seg.lstrip()))
+                    waived = suppressions_at(lines, first) | set(
+                        KEPT_WAIVER_RE.findall(lines[text.count("\n", 0, i)]))
+                    self.handle_statement(" ".join(seg.split()), rel,
+                                          first + 1, scope_classes(), stack,
+                                          waived)
                 if not stack or stack[-1][0] != "braceinit":
                     seg_start = i + 1
             i += 1
         return [p for p in pending if p[2] is not None]
 
-    def handle_statement(self, stmt, rel, line, classes, stack):
+    def handle_statement(self, stmt, rel, line, classes, stack, waived):
         model = self.model
         stmt = re.sub(r"^(?:\s*(?:public|private|protected)\s*:)+\s*", "",
                       stmt)
@@ -641,13 +753,17 @@ class InternalBackend:
                 cls = classes[-1]
                 base = m.group("type")
                 model.class_members[cls][m.group("name")] = base
-                if ATOMIC_TYPE_RE.match(base) or "atomic" in base.split("<")[0]:
+                # Arrays and smart-pointer arrays of atomics count: their
+                # elements are the atomics (`pub_words[i].load(...)`).
+                if ATOMIC_IN_TYPE_RE.search(base):
                     model.atomic_members[cls].add(m.group("name"))
         elif not at_class:
             m = GLOBAL_DECL_RE.match(stmt)
             if m:
                 name = m.group("name")
-                if ATOMIC_TYPE_RE.match(m.group("type").replace("std::", "")):
+                model.global_decls.append((rel, line, name,
+                                           "ZCPA005" in waived))
+                if ATOMIC_IN_TYPE_RE.search(m.group("type")):
                     model.atomic_globals.add(name)
                 else:
                     model.writable_globals[name] = (rel, line, stmt[:120])
@@ -661,6 +777,8 @@ class InternalBackend:
         # Deferred work (lambda bodies handed to std::thread, stored
         # callbacks) does not run under this function's locks and is not a
         # synchronous callee; blanking preserves offsets and line numbers.
+        # Locals and atomic sites still come from the full body.
+        full = body
         body = blank_lambda_bodies(body)
 
         # Block extents for guard scopes.
@@ -687,37 +805,37 @@ class InternalBackend:
             return lines[body.count("\n", 0, pos)]
 
         def sup_at(pos):
-            # Same-line suppressions plus a standalone justification comment
-            # on the line directly above (the readable form for multi-line
-            # reasons); a trailing comment on the previous statement does
-            # not leak downward.
-            idx = body.count("\n", 0, pos)
-            s = line_suppressions(lines[idx])
-            j = idx - 1
-            # Comment lines without a "zcp-" directive were blanked by the
-            # string/comment stripper, so the walk must cross whitespace-only
-            # lines to reach the directive at the top of a comment block.
-            while j >= 0 and (not lines[j].strip()
-                              or lines[j].strip().startswith("//")):
-                s |= line_suppressions(lines[j])
-                j -= 1
-            return s
+            return suppressions_at(lines, body.count("\n", 0, pos))
 
         def suppressed(pos, rule):
             return rule in sup_at(pos)
 
         # Local declarations (for receiver type resolution).
-        for m in LOCAL_DECL_RE.finditer(body):
+        for m in LOCAL_DECL_RE.finditer(full):
             t = m.group(1).split("<")[0].split("::")[-1]
             if t not in ("ZCP", "NO") and m.group(2) not in func.local_types:
                 func.local_types[m.group(2)] = t
+        for m in ATOMIC_LOCAL_RE.finditer(full):
+            func.local_types.setdefault(m.group(1), "atomic")
         # Range-for loop variables are locals too; without this, `for
         # (auto& table : pending_) table.clear();` leaves `table` unknown
-        # and the unique-atomic-member fallback can misresolve it.
-        for m in RANGE_FOR_RE.finditer(body):
+        # and the unique-atomic-member fallback can misresolve it. An `auto`
+        # variable takes its type from the range: it is bound to the atomic
+        # object when the range is an array of atomics (None otherwise, per
+        # loop, since loops reuse names), else to the container's element.
+        for m in RANGE_FOR_RE.finditer(full):
             t = m.group(1).split("<")[0].split("::")[-1].strip()
-            if m.group(2) not in func.local_types:
-                func.local_types[m.group(2)] = t
+            var = m.group(2)
+            if t == "auto":
+                rng = range_expr(full, m.end())
+                obj = self.atomic_object(func, rng, "load") if rng else None
+                func.local_atomics.append((m.start(), var, obj))
+                if obj is None and var not in func.local_types:
+                    cls = self.resolve_receiver_class(func, rng)
+                    if cls:
+                        func.local_types[var] = cls
+            elif var not in func.local_types:
+                func.local_types[var] = t
 
         # Calls.
         seen_spans = []
@@ -731,7 +849,7 @@ class InternalBackend:
         for m in CALL_RE.finditer(body):
             name = m.group(1)
             short = name.rsplit("::", 1)[-1]
-            if short in NOT_CALLS or short.isupper() or short in ATOMIC_OPS:
+            if short in NOT_CALLS or short in ATOMIC_OPS:
                 continue
             if any(s <= m.start(1) < e for s, e in seen_spans):
                 continue
@@ -772,37 +890,40 @@ class InternalBackend:
         self.parse_guards(func, body, rel, line_at, raw_line,
                           enclosing_close, sup_at)
 
-        # Atomic sites.
-        self.parse_atomics(func, body, rel, line_at, raw_line, sup_at)
+        # Atomic sites, lambda bodies included.
+        self.parse_atomics(func, full, rel, line_at, sup_at)
+
+    def class_of_type(self, type_str):
+        """The class a declared type leads to: the last known class named in
+        it (`std::vector<std::shared_ptr<TraceRing>>` -> TraceRing), else
+        its base name."""
+        known = [n for n in re.findall(r"[A-Za-z_]\w*", type_str)
+                 if n in self.model.class_members
+                 and not NOT_ELEMENT_RE.search(n)]
+        if known:
+            return known[-1]
+        return type_str.split("<")[0].split("::")[-1].strip()
 
     def resolve_receiver_class(self, func, recv):
         """Receiver expression -> class name, via locals/params/members."""
-        recv = re.sub(r"\[[^\]]*\]", "", recv).strip()
-        parts = re.split(r"\.|->", recv)
-        head = parts[0].strip().lstrip("&*")
-        if head in ("this",):
+        parts = split_postfix(recv)
+        head = parts[0]
+        if head == "this":
             cls = func.cls
-            parts = parts[1:]
         elif head in func.local_types:
             cls = func.local_types[head]
-            parts = parts[1:]
         elif head in func.param_types:
             cls = func.param_types[head]
-            parts = parts[1:]
         elif func.cls and head in self.model.class_members.get(func.cls, {}):
-            cls = self.model.class_members[func.cls][head].split("<")[0] \
-                .split("::")[-1]
-            parts = parts[1:]
+            cls = self.class_of_type(self.model.class_members[func.cls][head])
         else:
             return None
-        for p in parts:
-            p = p.strip()
-            if not p:
-                continue
+        rest = [p for p in parts[1:] if p]
+        for p in rest:
             nxt = self.model.class_members.get(cls, {}).get(p)
             if nxt is None:
-                return cls if p == parts[-1] else None
-            cls = nxt.split("<")[0].split("::")[-1]
+                return cls if p == rest[-1] else None
+            cls = self.class_of_type(nxt)
         return cls
 
     def lock_identity(self, func, expr):
@@ -868,7 +989,7 @@ class InternalBackend:
                 func.ops.append(Op("lock", rel, line_at(m.start()),
                                    raw_line(m.start()), detail=lock_id))
 
-    def parse_atomics(self, func, body, rel, line_at, raw_line, sup_at):
+    def parse_atomics(self, func, body, rel, line_at, sup_at):
         model = self.model
         for m in FENCE_RE.finditer(body):
             args = balanced_args(body, m.end() - 1)
@@ -879,10 +1000,10 @@ class InternalBackend:
                 "ZCPA004" in sup_at(m.start()),
                 func.qual))
         for m in ATOMIC_OP_RE.finditer(body):
-            recv, op = m.group(1), m.group(2)
-            member = re.split(r"\.|->", recv)[-1].strip()
-            member = re.sub(r"\[[^\]]*\]|\(\)", "", member).strip()
-            obj = self.atomic_object(func, recv, member, op)
+            op = m.group(1)
+            recv = receiver_before(body, m.start())
+            obj = self.atomic_object(func, recv, op, m.start()) if recv \
+                else None
             if obj is None:
                 continue
             if op in NO_ORDER_PARAM_OPS:
@@ -898,25 +1019,30 @@ class InternalBackend:
                 "ZCPA004" in sup_at(m.start()),
                 func.qual))
 
-    def atomic_object(self, func, recv, member, op=""):
+    def atomic_object(self, func, recv, op, pos=None):
         """Returns the canonical object id if the receiver is an atomic, or
         None when it is provably/probably not (vector.clear() etc.)."""
         model = self.model
-        head = re.split(r"\.|->", recv)[0].strip().lstrip("&*(")
-        if member in model.atomic_globals or head in model.atomic_globals:
-            return f"{Path(func.file).stem}::{member if member else head}"
-        # Member of the enclosing class?
-        if func.cls and member in model.atomic_members.get(func.cls, set()):
-            return f"{func.cls}::{member}"
-        # Receiver chain resolution: owner class of the last component.
-        if len(re.split(r"\.|->", recv)) > 1:
-            owner = self.resolve_receiver_class(
-                func, recv[:len(recv) - len(member)].rstrip(".->"))
-            if owner and member in model.atomic_members.get(owner, set()):
+        parts = split_postfix(recv)
+        head, member = parts[0], parts[-1]
+        if len(parts) == 1:
+            if head in model.atomic_globals:
+                return f"{Path(func.file).stem}::{head}"
+            # An `auto` range-for variable: the nearest loop binding it.
+            bound = [o for p, v, o in func.local_atomics
+                     if v == head and (pos is None or p < pos)]
+            if bound:
+                return bound[-1]
+            if func.cls and member in model.atomic_members.get(func.cls, ()):
+                return f"{func.cls}::{member}"
+        else:
+            # Receiver chain resolution: owner class of the last component.
+            owner = self.resolve_receiver_class(func, ".".join(parts[:-1]))
+            if owner and member in model.atomic_members.get(owner, ()):
                 return f"{owner}::{member}"
-        # Local atomic variable?
-        t = func.local_types.get(head, "")
-        if ATOMIC_TYPE_RE.match(t) or t == "atomic":
+        # Local or parameter of atomic type?
+        if len(parts) == 1 and "atomic" in (func.local_types.get(head),
+                                            func.param_types.get(head)):
             return f"{func.qual}::{head}(local)"
         # A receiver whose type we *did* resolve (local, param, member of
         # the enclosing class) and that was not atomic above is a definitive
@@ -938,20 +1064,26 @@ class InternalBackend:
 
 
 def balanced_args(text, open_paren_pos):
+    """The call's argument list at nesting depth 1 only: an order passed to
+    a nested call (`x.store(y.load(relaxed) + 1)`) is not this call's."""
     depth = 0
+    out = []
     for i in range(open_paren_pos, min(len(text), open_paren_pos + 2000)):
         if text[i] == "(":
             depth += 1
         elif text[i] == ")":
             depth -= 1
             if depth == 0:
-                return text[open_paren_pos:i + 1]
+                return "".join(out)
+        elif depth == 1:
+            out.append(text[i])
     return None
 
 
 # ---------------------------------------------------------------------------
-# Clang backends. Both produce the same Model; the internal backend remains
-# the reference (and the fallback when no clang toolchain is installed).
+# libclang backend: the internal model plus semantic call edges. The internal
+# backend remains the reference (and the fallback when no clang toolchain is
+# installed).
 # ---------------------------------------------------------------------------
 
 def load_compile_commands(cc_dir, root):
@@ -977,18 +1109,16 @@ def load_compile_commands(cc_dir, root):
 
 def build_model_libclang(root, cc_dir, files):
     import clang.cindex as ci  # raises ImportError when unavailable
+    if cc_dir is None:
+        raise RuntimeError("needs -p <build-dir> for compile_commands.json")
     index = ci.Index.create()
-    model = Model()
-    model.backend = "libclang"
-    internal = InternalBackend(root, files)
     # The internal parser still supplies member maps, globals, guard scopes
     # and atomic sites (token-exact); libclang contributes the call graph,
     # which is the part regexes get wrong. This hybrid keeps the clang
     # backend's advantage (semantic call resolution) without re-deriving
     # the token-level extractors through the C API.
-    model = internal.build()
+    model = InternalBackend(root, files).build()
     model.backend = "libclang"
-    by_usr = {}
     calls = defaultdict(list)
 
     def qual_of(cur):
@@ -1024,98 +1154,19 @@ def build_model_libclang(root, cc_dir, files):
     return model
 
 
-def build_model_ast_json(root, cc_dir, files, clangxx="clang++"):
-    """`clang++ -Xclang -ast-dump=json` per TU; augments the internal model
-    with semantic call edges, like the libclang backend."""
-    model = InternalBackend(root, files).build()
-    model.backend = "ast-json"
-    entries = load_compile_commands(cc_dir, root)
-    if not entries:
-        raise RuntimeError("no src/ TUs in compile_commands.json")
-    for rel, args, directory in entries:
-        cmd = [clangxx]
-        skip = False
-        for a in args[1:]:
-            if skip:
-                skip = False
-                continue
-            if a in ("-o", "-c"):
-                skip = a == "-o"
-                continue
-            if a.endswith(rel) or a == str(root / rel):
-                continue
-            cmd.append(a)
-        cmd += ["-fsyntax-only", "-Xclang", "-ast-dump=json", str(root / rel)]
-        out = subprocess.run(cmd, cwd=directory, capture_output=True,
-                             text=True, timeout=600)
-        if out.returncode != 0 or not out.stdout:
-            raise RuntimeError(f"ast-dump failed for {rel}: "
-                               f"{out.stderr.splitlines()[:3]}")
-        ast = json.loads(out.stdout)
-        decls = {}   # node id -> (cls, name)
-        # Iterative document-order walk: clang ASTs nest deeply enough to
-        # blow Python's default recursion limit on large TUs.
-        stack = [(ast, None, "")]
-        while stack:
-            node, enclosing, cls = stack.pop()
-            kind = node.get("kind", "")
-            nid = node.get("id")
-            name = node.get("name", "")
-            if kind == "CXXRecordDecl" and name:
-                cls = name
-            if kind in ("FunctionDecl", "CXXMethodDecl", "CXXConstructorDecl",
-                        "CXXDestructorDecl") and name:
-                decls[nid] = (cls, name)
-                if node.get("inner") and any(
-                        ch.get("kind") == "CompoundStmt"
-                        for ch in node["inner"]):
-                    enclosing = (cls + "::" + name) if cls else name
-            if kind in ("DeclRefExpr", "MemberExpr") and enclosing:
-                ref = node.get("referencedDecl") or {}
-                rid = node.get("referencedMemberDecl") or ref.get("id")
-                if rid in decls:
-                    rcls, rname = decls[rid]
-                    for f in model.by_qual.get(enclosing, []):
-                        f.calls.append(Call(
-                            (rcls + "::" + rname) if rcls else rname,
-                            None, f.line, 0))
-                elif ref.get("kind") in ("FunctionDecl", "CXXMethodDecl"):
-                    for f in model.by_qual.get(enclosing, []):
-                        f.calls.append(Call(ref.get("name", ""), None,
-                                            f.line, 0))
-            for ch in reversed(node.get("inner", []) or []):
-                stack.append((ch, enclosing, cls))
-    return model
-
-
 def build_model(root, backend, cc_dir, files, strict):
     """Builds the Model with the requested backend. With --strict-backend a
-    missing/broken clang backend is fatal; otherwise the tool degrades to
+    missing/broken libclang backend is fatal; otherwise the tool degrades to
     the internal backend with a warning (findings still gate)."""
-    errors = []
     if backend in ("auto", "libclang"):
         try:
-            import clang.cindex  # noqa: F401
             return build_model_libclang(root, cc_dir, files)
         except Exception as e:  # ImportError, LibclangError, parse errors
-            errors.append(f"libclang: {e.__class__.__name__}: {e}")
-    if backend in ("auto", "libclang", "ast-json"):
-        try:
-            if cc_dir is None:
-                raise RuntimeError("needs -p <build-dir> for "
-                                   "compile_commands.json")
-            clangxx = os.environ.get("CLANGXX", "clang++")
-            subprocess.run([clangxx, "--version"], capture_output=True,
-                           check=True)
-            return build_model_ast_json(root, cc_dir, files, clangxx)
-        except Exception as e:
-            errors.append(f"ast-json: {e.__class__.__name__}: {e}")
-    if backend != "internal":
-        msg = "clang backend(s) unavailable: " + "; ".join(errors)
-        if strict:
-            raise RuntimeError(msg)
-        print(f"zcp_analyzer: {msg}; using internal backend",
-              file=sys.stderr)
+            msg = f"libclang backend unavailable: {e.__class__.__name__}: {e}"
+            if strict:
+                raise RuntimeError(msg)
+            print(f"zcp_analyzer: {msg}; using internal backend",
+                  file=sys.stderr)
     return InternalBackend(root, files).build()
 
 
@@ -1146,13 +1197,11 @@ def resolve_call(model, func, call):
             cands = model.by_name.get(name.rsplit("::", 1)[-1], [])
         return cands[:4]
     if call.receiver is not None:
-        backend = getattr(model, "_internal_backend", None)
-        if backend is not None:
-            cls = backend.resolve_receiver_class(func, call.receiver)
-            if cls:
-                exact = model.by_qual.get(cls + "::" + name, [])
-                if exact:
-                    return exact
+        cls = model.resolver.resolve_receiver_class(func, call.receiver)
+        if cls:
+            exact = model.by_qual.get(cls + "::" + name, [])
+            if exact:
+                return exact
         cands = model.by_name.get(name, [])
         return cands if len(cands) <= 3 else []
     if func.cls:
@@ -1226,6 +1275,16 @@ def closure_findings(model):
         f"closure stops at ZCP_SLOW_PATH boundary {q}"
         for q in sorted(boundaries))
     return findings
+
+
+def global_decl_findings(model):
+    """ZCPA005 at the declaration: every writable namespace-scope variable
+    needs an inline waiver with a reason."""
+    return [Finding("ZCPA005", f, line,
+                    f"{RULES['ZCPA005']}: `{name}` is a writable "
+                    "namespace-scope variable without a waiver",
+                    f"ZCPA005:{f}:{name}:declaration")
+            for f, line, name, waived in model.global_decls if not waived]
 
 
 def implicit_order_findings(model):
@@ -1343,19 +1402,23 @@ def lock_order_findings(model):
 # Atomic-order inventory + DESIGN.md table.
 # ---------------------------------------------------------------------------
 
-INVENTORY_SCHEMA = "zcp-atomic-inventory-v1"
+INVENTORY_SCHEMA = "zcp-inventory-v2"
 
 
 def build_inventory(model):
+    """The fast-path root set (one `file:Class::Func` entry per marked
+    definition) and every atomic operation aggregated by file, object, op and
+    order. Pinning the roots is what keeps the fast-path rules binding: they
+    only reach code below a ZCP_FAST_PATH marker."""
     agg = defaultdict(int)
     for s in model.atomic_sites:
-        if s.op == "fence":
-            agg[(s.file, s.object, s.op, s.order)] += 1
-        elif s.order != "n/a":
+        if s.order != "n/a":
             agg[(s.file, s.object, s.op, s.order)] += 1
     sites = [{"file": f, "object": o, "op": op, "order": order, "count": c}
              for (f, o, op, order), c in sorted(agg.items())]
-    return {"schema": INVENTORY_SCHEMA, "sites": sites}
+    roots = sorted(f"{f.file}:{f.qual}" for f in model.funcs if f.fast_path)
+    return {"schema": INVENTORY_SCHEMA, "fast_path_roots": roots,
+            "sites": sites}
 
 
 def inventory_findings(inventory, baseline_path):
@@ -1374,6 +1437,17 @@ def inventory_findings(inventory, baseline_path):
     old = {(s["file"], s["object"], s["op"], s["order"]): s["count"]
            for s in committed.get("sites", [])}
     findings = []
+    now_roots = Counter(inventory["fast_path_roots"])
+    was_roots = Counter(committed.get("fast_path_roots", []))
+    for root in sorted(set(now_roots) | set(was_roots)):
+        if now_roots[root] != was_roots[root]:
+            what = "added" if now_roots[root] > was_roots[root] else "removed"
+            f, qual = root.split(":", 1)
+            findings.append(Finding(
+                "ZCPA020", f, 0,
+                f"{RULES['ZCPA020']}: fast-path root {qual} in {f}: {what} — "
+                "a ZCP_FAST_PATH marker changed; --update-inventory if meant",
+                f"ZCPA020:root:{root}:{what}"))
     for key in sorted(set(cur) | set(old)):
         a, b = old.get(key), cur.get(key)
         if a == b:
@@ -1445,20 +1519,18 @@ def collect_files(root, globs):
     return seen
 
 
+def rule_findings(model):
+    """Every rule's findings but inventory drift, and the lock-order edges."""
+    lock_findings, lock_edges = lock_order_findings(model)
+    return (closure_findings(model) + global_decl_findings(model)
+            + implicit_order_findings(model) + lock_findings), lock_edges
+
+
 def analyze(root, backend, cc_dir, globs, strict, inventory_path=None,
             design_doc=None):
     files = collect_files(root, globs)
     model = build_model(root, backend, cc_dir, files, strict)
-    # resolve_call needs receiver-type resolution; keep one internal backend
-    # instance attached for the clang backends too (they reuse its maps).
-    helper = InternalBackend(root, [])
-    helper.model = model
-    model._internal_backend = helper
-    findings = []
-    findings += closure_findings(model)
-    findings += implicit_order_findings(model)
-    lock_findings, lock_edges = lock_order_findings(model)
-    findings += lock_findings
+    findings, lock_edges = rule_findings(model)
     inventory = build_inventory(model)
     if inventory_path is not None:
         findings += inventory_findings(inventory, inventory_path)
@@ -1468,6 +1540,28 @@ def analyze(root, backend, cc_dir, globs, strict, inventory_path=None,
     return model, findings, inventory, lock_edges, doc_errors
 
 
+def load_baseline(path):
+    """{fingerprint: why} from a baseline file ({"findings": [{"fp": ...,
+    "why": ...}, ...]}); no file, no baseline. An entry without a non-empty
+    "why" is an error: every accepted finding carries its justification."""
+    if path is None or not path.exists():
+        return {}
+    out = {}
+    for entry in json.loads(path.read_text()).get("findings", []):
+        if not isinstance(entry, dict) or not entry.get("fp") \
+                or not str(entry.get("why", "")).strip():
+            raise RuntimeError(f"{path}: baseline entry without a 'why': "
+                               f"{entry!r}")
+        out[entry["fp"]] = entry["why"]
+    return out
+
+
+def save_baseline(path, findings):
+    """Writes {fingerprint: why} in the baseline schema, sorted."""
+    entries = [{"fp": fp, "why": why} for fp, why in sorted(findings.items())]
+    path.write_text(json.dumps({"findings": entries}, indent=2) + "\n")
+
+
 def print_finding(f, file=sys.stderr):
     loc = f"{f.file}:{f.line}: " if f.file else ""
     print(f"{loc}{f.rule}: {f.message}", file=file)
@@ -1475,14 +1569,28 @@ def print_finding(f, file=sys.stderr):
         print("    call chain: " + " -> ".join(f.chain), file=file)
 
 
+PLANTED_RE = re.compile(r"//\s*planted:\s*(ZCPA\d{3})")
+
+
+def fixture_findings(root, rel, text=None):
+    """Model and rule findings (inventory aside) for one fixture TU;
+    `text` overrides the file's contents."""
+    model = InternalBackend(root, [rel], {rel: text} if text else None).build()
+    return model, rule_findings(model)[0]
+
+
 def self_test(root):
     fixtures = root / "tools" / "zcp_analyzer_fixtures"
     expectations = {
         "bad_transitive_lock.cc": {"ZCPA001"},
+        "bad_decl_marker.cc": {"ZCPA001"},
         "bad_transitive_alloc.cc": {"ZCPA002"},
+        "bad_caps_method_alloc.cc": {"ZCPA002"},
         "bad_cross_partition.cc": {"ZCPA003"},
         "bad_implicit_seq_cst.cc": {"ZCPA004"},
+        "bad_atomic_shapes.cc": {"ZCPA004"},
         "bad_global_touch.cc": {"ZCPA005"},
+        "bad_writable_global.cc": {"ZCPA005"},
         "bad_lock_order_cycle.cc": {"ZCPA010"},
         "clean.cc": set(),
         "clean_slow_path_boundary.cc": set(),
@@ -1493,12 +1601,7 @@ def self_test(root):
         if not (root / rel).exists():
             failures.append(f"missing fixture {rel}")
             continue
-        model = InternalBackend(root, [rel]).build()
-        helper = InternalBackend(root, [])
-        helper.model = model
-        model._internal_backend = helper
-        findings = closure_findings(model) + implicit_order_findings(model) \
-            + lock_order_findings(model)[0]
+        _, findings = fixture_findings(root, rel)
         got = {f.rule for f in findings}
         if expected - got:
             failures.append(f"{name}: expected {sorted(expected - got)} "
@@ -1508,50 +1611,61 @@ def self_test(root):
                 if f.rule in got - expected:
                     print_finding(f)
             failures.append(f"{name}: unexpected {sorted(got - expected)}")
+        # One finding per planted site, on exactly the planted lines.
+        planted = defaultdict(list)
+        for i, line in enumerate((root / rel).read_text().split("\n"), 1):
+            for rule in PLANTED_RE.findall(line):
+                planted[rule].append(i)
+        for rule, lines in planted.items():
+            hit = sorted(f.line for f in findings if f.rule == rule)
+            if hit != sorted(lines):
+                failures.append(f"{name}: {rule} on lines {hit}, planted on "
+                                f"{sorted(lines)}")
         # Transitive rules must carry a >= 2-deep call chain.
         if name.startswith("bad_transitive"):
-            chains = [f.chain for f in findings if len(f.chain) >= 2]
-            if not chains:
+            if not any(len(f.chain) >= 2 for f in findings):
                 failures.append(f"{name}: no interprocedural call chain in "
                                 "the diagnostic")
     # Boundary-marker removal: the same TU minus ZCP_SLOW_PATH must report
     # the transitive lock — the silence above is earned by the marker, not
     # by the analyzer failing to look.
     brel = "tools/zcp_analyzer_fixtures/clean_slow_path_boundary.cc"
-    if (root / brel).exists():
-        stripped = (root / brel).read_text().replace(
-            "ZCP_SLOW_PATH void", "void").replace(
-            "#define ZCP_SLOW_PATH", "")
-        model = InternalBackend(root, [brel], {brel: stripped}).build()
-        helper = InternalBackend(root, [])
-        helper.model = model
-        model._internal_backend = helper
-        got = {f.rule for f in closure_findings(model)}
-        if "ZCPA001" not in got:
-            failures.append("clean_slow_path_boundary.cc without the marker: "
-                            "expected ZCPA001 not reported")
-    # Inventory drift fixture: same TU, one stale + one matching baseline.
+    stripped = (root / brel).read_text().replace(
+        "ZCP_SLOW_PATH void", "void").replace("#define ZCP_SLOW_PATH", "")
+    if "ZCPA001" not in {f.rule for f in fixture_findings(root, brel,
+                                                          stripped)[1]}:
+        failures.append("clean_slow_path_boundary.cc without the marker: "
+                        "expected ZCPA001 not reported")
+    # Inventory drift: the same TU against a stale and a matching baseline,
+    # and with its fast-path marker deleted against the matching one.
     drift_rel = "tools/zcp_analyzer_fixtures/inventory_subject.cc"
-    for baseline, expect_drift in (("atomic_order_stale.json", True),
-                                   ("atomic_order_ok.json", False)):
-        bpath = fixtures / baseline
-        if not (root / drift_rel).exists() or not bpath.exists():
-            failures.append(f"missing inventory fixture {baseline}")
-            continue
-        model = InternalBackend(root, [drift_rel]).build()
-        inv = build_inventory(model)
-        drift = inventory_findings(inv, bpath)
+    unmarked = (root / drift_rel).read_text().replace(
+        "ZCP_FAST_PATH uint64_t", "uint64_t")
+    for baseline, text, expect_drift in (
+            ("atomic_order_stale.json", None, True),
+            ("atomic_order_ok.json", None, False),
+            ("atomic_order_ok.json", unmarked, True)):
+        model, _ = fixture_findings(root, drift_rel, text)
+        drift = inventory_findings(build_inventory(model),
+                                   fixtures / baseline)
+        what = baseline + (" (marker deleted)" if text else "")
         if expect_drift and not drift:
-            failures.append(f"{baseline}: expected ZCPA020 drift not reported")
+            failures.append(f"{what}: expected ZCPA020 drift not reported")
         if not expect_drift and drift:
             for f in drift:
                 print_finding(f)
-            failures.append(f"{baseline}: unexpected ZCPA020 drift")
+            failures.append(f"{what}: unexpected ZCPA020 drift")
+    # A baseline entry without a "why" is an error, not a warning.
+    try:
+        load_baseline(fixtures / "baseline_without_why.json")
+        failures.append("baseline_without_why.json: loaded without error")
+    except RuntimeError:
+        pass
     if failures:
         for f in failures:
             print(f"zcp_analyzer self-test FAIL: {f}", file=sys.stderr)
         return 1
-    print(f"zcp_analyzer self-test: {len(expectations) + 3} fixture "
+    print(f"zcp_analyzer self-test: {len(expectations) + 5} fixture "
           "checks OK")
     return 0
 
@@ -1559,22 +1673,20 @@ def self_test(root):
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__.split("\n")[0],
-        epilog="Tier 2 of the ZCP conformance tooling; see "
-               "docs/STATIC_ANALYSIS.md. Tier 1 (tools/zcp_lint.py) stays "
-               "the fast intra-function pre-commit pass.")
+        epilog="See docs/STATIC_ANALYSIS.md.")
     ap.add_argument("--root", type=Path, default=Path("."))
-    ap.add_argument("--backend", choices=["auto", "libclang", "ast-json",
-                                          "internal"], default="auto")
+    ap.add_argument("--backend", choices=["auto", "libclang", "internal"],
+                    default="auto")
     ap.add_argument("--strict-backend", action="store_true",
                     help="fail instead of falling back to the internal "
-                         "backend when a clang backend is unavailable")
+                         "backend when libclang is unavailable")
     ap.add_argument("-p", "--compile-commands", default=None, metavar="DIR",
                     help="build dir containing compile_commands.json "
-                         "(needed by the clang backends)")
+                         "(needed by the libclang backend)")
     ap.add_argument("--baseline", type=Path, default=None)
     ap.add_argument("--update-baseline", action="store_true")
     ap.add_argument("--inventory", type=Path, default=None,
-                    help="atomic-order inventory baseline JSON "
+                    help="root-set and atomic-order inventory JSON "
                          "(default tools/atomic_order_baseline.json when "
                          "present)")
     ap.add_argument("--update-inventory", action="store_true")
@@ -1638,8 +1750,11 @@ def main():
     baseline_path = args.baseline
     if baseline_path is not None and not baseline_path.is_absolute():
         baseline_path = root / baseline_path
-    baseline = zcp_baseline.load_baseline(baseline_path) \
-        if baseline_path else {}
+    try:
+        baseline = load_baseline(baseline_path)
+    except (RuntimeError, json.JSONDecodeError) as e:
+        print(f"zcp_analyzer: {e}", file=sys.stderr)
+        return 2
 
     fps = {}
     for f in findings:
@@ -1648,9 +1763,10 @@ def main():
         if baseline_path is None:
             print("--update-baseline requires --baseline", file=sys.stderr)
             return 2
-        merged = {fp: baseline.get(fp, "") for fp in fps}
-        zcp_baseline.save_baseline(baseline_path, merged)
-        print(f"baseline updated: {len(fps)} findings -> {baseline_path}")
+        save_baseline(baseline_path,
+                      {fp: baseline.get(fp, "") for fp in fps})
+        print(f"baseline updated: {len(fps)} findings -> {baseline_path}; "
+              "give every new entry a 'why' before committing")
         return 0
 
     new = {fp: f for fp, f in fps.items() if fp not in baseline}
@@ -1662,10 +1778,6 @@ def main():
     if fixed:
         print(f"zcp_analyzer: {len(fixed)} baselined finding(s) no longer "
               "present; run --update-baseline to shrink the baseline.")
-    bare = zcp_baseline.unjustified(baseline)
-    if bare:
-        print(f"zcp_analyzer: note: {len(bare)} baselined finding(s) carry "
-              "no 'why' justification", file=sys.stderr)
     nroots = sum(1 for f in model.funcs if f.fast_path)
     if new or doc_errors:
         print(f"zcp_analyzer[{model.backend}]: {len(new)} new violation(s), "

@@ -1,7 +1,7 @@
-// zcp_lint fixture: ZCP001 must fire even though ZCP_FAST_PATH sits on the
-// *declaration* (class-body prototype), not the definition. The original
-// linter only scanned marked definitions, so this shape passed silently —
-// the marker looked applied but no body was ever checked.
+// zcp_analyzer fixture: ZCPA001 must fire even though ZCP_FAST_PATH sits on
+// the *declaration* (class-body prototype), not the definition: the marker
+// promotes every definition of the name to a fast-path root, so a marker
+// that looks applied always has its body checked.
 #define ZCP_FAST_PATH
 
 namespace fixture {

@@ -1,7 +1,7 @@
 // zcp_analyzer fixture: ZCPA004 must fire — an atomic member operation
-// without an explicit memory order. The member is deliberately named so
-// the Tier 1 name heuristic would NOT recognize it as atomic; the analyzer
-// resolves the receiver through the class member-type map.
+// without an explicit memory order. The member is deliberately named so no
+// name heuristic would recognize it as atomic; the analyzer resolves the
+// receiver through the class member-type map.
 #include <atomic>
 #include <cstdint>
 

@@ -1,6 +1,6 @@
 // zcp_analyzer fixture: ZCPA002 must fire — a heap allocation one call
-// below a ZCP_FAST_PATH root. The root's own body is clean, so Tier 1
-// stays silent; the closure check must report the chain
+// below a ZCP_FAST_PATH root. The root's own body is clean, so only the
+// closure check can see it, and it must report the chain
 // FastRoot -> MakeEntry.
 #define ZCP_FAST_PATH
 

@@ -1,6 +1,6 @@
 // zcp_analyzer fixture: ZCPA001 must fire — a blocking mutex acquisition
-// two calls below a ZCP_FAST_PATH root, invisible to the Tier 1 linter
-// (the root's own body is clean). The diagnostic must carry the chain
+// two calls below a ZCP_FAST_PATH root, invisible to a scan of the root's
+// own body (which is clean). The diagnostic must carry the chain
 // FastRoot -> Helper -> Registry::Register.
 #define ZCP_FAST_PATH
 
