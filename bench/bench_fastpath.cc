@@ -7,8 +7,8 @@
 //   vstore_read_uniform_8t        seqlock store, uniform key choice
 //   mutex_read_uniform_8t         baseline, uniform key choice
 //   vstore_version_probe_8t       ReadVersion (value-free OCC probe)
-//   channel_drain_single          TryPop per message
-//   channel_drain_batch           TryPopAll per backlog
+//   channel_drain_single          PopAll per message
+//   channel_drain_batch           PopAll per backlog
 //   payload_fanout_copied         3-replica ValidateRequest, deep copies
 //   payload_fanout_shared         3-replica ValidateRequest, shared TxnSets
 //
@@ -240,16 +240,18 @@ int main(int argc, char** argv) {
            }
          }));
 
-  // Channel drain: one backlog of 256 messages per iteration; single-threaded
-  // because the comparison is drain machinery, not producer contention.
+  // Channel drain: 256 messages per iteration, taken one PopAll per message
+  // (one consumer lock round-trip each) or one PopAll for the whole backlog;
+  // single-threaded because the comparison is drain machinery, not producer
+  // contention.
   {
     Channel<int> channel;
+    std::vector<int> batch;
     Report(out, "channel_drain_single",
            MeasureThreads(1, kDrainIters, [&](size_t, uint64_t) {
              for (int i = 0; i < 256; i++) {
                channel.Push(i);
-             }
-             while (channel.TryPop()) {
+               channel.PopAll(batch);
              }
            }));
   }
@@ -261,7 +263,7 @@ int main(int argc, char** argv) {
              for (int i = 0; i < 256; i++) {
                channel.Push(i);
              }
-             channel.TryPopAll(batch);
+             channel.PopAll(batch);
            }));
   }
 

@@ -234,25 +234,26 @@ BENCHMARK(BM_TRecordLifecycle);
 
 void BM_ChannelPushPop(benchmark::State& state) {
   Channel<int> channel;
+  std::vector<int> batch;
   for (auto _ : state) {
     channel.Push(1);
-    benchmark::DoNotOptimize(channel.TryPop());
+    benchmark::DoNotOptimize(channel.PopAll(batch));
   }
 }
 BENCHMARK(BM_ChannelPushPop);
 
-// Drain cost comparison: 256 queued messages pulled one TryPop (one lock
-// round-trip each) at a time vs one TryPopAll (single lock round-trip for the
-// whole backlog). The push phase is identical in both, so the delta is the
-// drain machinery — this is what each ThreadedTransport worker wakeup pays.
+// Drain cost comparison: 256 messages taken one PopAll per message (one lock
+// round-trip each) vs one PopAll (single lock round-trip for the whole
+// backlog). The pushes are identical in both, so the delta is the drain
+// machinery — this is what each threaded endpoint's drain pays.
 void BM_ChannelDrainSingle(benchmark::State& state) {
   Channel<int> channel;
+  std::vector<int> batch;
   for (auto _ : state) {
     for (int i = 0; i < 256; i++) {
       channel.Push(i);
-    }
-    while (auto value = channel.TryPop()) {
-      benchmark::DoNotOptimize(*value);
+      channel.PopAll(batch);
+      benchmark::DoNotOptimize(batch.data());
     }
   }
   state.SetItemsProcessed(state.iterations() * 256);
@@ -266,7 +267,7 @@ void BM_ChannelDrainBatch(benchmark::State& state) {
     for (int i = 0; i < 256; i++) {
       channel.Push(i);
     }
-    channel.TryPopAll(batch);
+    channel.PopAll(batch);
     benchmark::DoNotOptimize(batch.data());
   }
   state.SetItemsProcessed(state.iterations() * 256);

@@ -29,8 +29,8 @@ int64_t DrawSkew(Rng& rng, int64_t max_skew) {
 // Installs the options' transport-level configuration: the batch governor,
 // and the fault plan into the transport's injector (if the transport has one
 // — the base Transport interface makes it optional). Must run before any
-// replica is constructed: replica construction starts transport worker
-// threads (UdpTransport pollers) that read this state without
+// replica is constructed: replica construction starts transport endpoint
+// threads that read this state without
 // synchronization, so the only safe ordering is write-then-spawn.
 void InstallFaultPlan(const SystemOptions& options, Transport* transport) {
   transport->set_batch_options(options.batching);

@@ -63,8 +63,8 @@ class DapAudit {
   static void ResetViolations();
 
   // Marks the calling thread as a fast-path worker for the thread-owner
-  // check. Called by ThreadedTransport at the top of each endpoint worker
-  // loop; tests may call it directly to simulate workers.
+  // check. Called by the real-clock transports at the top of each endpoint
+  // thread's loop; tests may call it directly to simulate workers.
   static void BindCurrentThread();
   static bool CurrentThreadBound();
 

@@ -232,7 +232,7 @@ ZCP_FAST_PATH NO_THREAD_SAFETY_ANALYSIS void MeerkatReplica::DispatchBatch(CoreI
       // detection per message (in arrival order), then one amortized OCC
       // sweep for the fresh ones. Replies are staged up front in arrival
       // order and the fresh ones patched with the sweep's verdicts, so the
-      // observable reply stream is identical to sequential HandleValidate.
+      // observable reply stream is identical to validating one at a time.
       TRecordPartition& part = trecord_.Partition(core);
       scratch.items.clear();
       scratch.records.clear();
@@ -280,9 +280,13 @@ ZCP_FAST_PATH NO_THREAD_SAFETY_ANALYSIS void MeerkatReplica::DispatchBatch(CoreI
             break;
           }
           if (existing == nullptr && req->ts.Valid() && req->ts < CoreWatermark(gc)) {
-            // Retransmitted VALIDATE for an already-trimmed transaction: the
-            // record is gone, but an abort vote is always OCC-safe and never
-            // creates a record (see HandleValidate).
+            // Retransmitted VALIDATE for an already-trimmed transaction (the
+            // client finished it and moved its oldest-inflight mark past this
+            // timestamp). The record is gone, but an abort vote is always
+            // OCC-safe: a quorum either already decided (this reply is then
+            // ignored) or will abort, a permitted outcome of validation. No
+            // record is created, so the duplicate cannot resurrect trimmed
+            // state.
             reply.status = TxnStatus::kValidatedAbort;
             MetricIncr(kGcStaleValidates);
           } else if (req->priority == 0 && ShouldShed(load)) {
@@ -469,76 +473,6 @@ ZCP_FAST_PATH void MeerkatReplica::AttachHints(CoreId core, ValidateReply* reply
     slot = (slot == 0 ? rw.ring.size() : slot) - 1;
     reply->hints.push_back(rw.ring[slot]);
   }
-}
-
-ZCP_FAST_PATH void MeerkatReplica::HandleValidate(CoreId core, const Address& from,
-                                    const ValidateRequest& req) {
-  TRecordPartition& part = trecord_.Partition(core);
-  CoreGc& gc = core_gc_[core % core_gc_.size()];
-  if (req.oldest_inflight.Valid()) {
-    NoteClientMark(gc, req.oldest_inflight);
-  }
-  ValidateReply reply;
-  reply.tid = req.tid;
-  reply.from = id_;
-  reply.epoch = epoch();
-
-  TxnRecord* existing = part.Find(req.tid);
-  if (existing != nullptr && existing->status != TxnStatus::kNone) {
-    // Duplicate VALIDATE (retry): re-report the recorded vote without
-    // re-running the checks — re-registration would corrupt readers/writers.
-    switch (existing->status) {
-      case TxnStatus::kValidatedOk:
-      case TxnStatus::kAcceptCommit:
-      case TxnStatus::kCommitted:
-        reply.status = TxnStatus::kValidatedOk;
-        break;
-      default:
-        reply.status = TxnStatus::kValidatedAbort;
-        break;
-    }
-    AttachHints(core, &reply);
-    Reply(from, core, std::move(reply));
-    return;
-  }
-
-  if (existing == nullptr && req.ts.Valid() && req.ts < CoreWatermark(gc)) {
-    // Retransmitted VALIDATE for an already-trimmed transaction (the client
-    // finished it and moved its oldest-inflight mark past this timestamp).
-    // The record is gone, but an abort vote is always OCC-safe: a quorum
-    // either already decided (this reply is then ignored) or will abort —
-    // never wrongly, since aborting is always a permitted outcome of
-    // validation. Crucially, no record is created, so the duplicate cannot
-    // resurrect trimmed state.
-    reply.status = TxnStatus::kValidatedAbort;
-    MetricIncr(kGcStaleValidates);
-    AttachHints(core, &reply);
-    Reply(from, core, std::move(reply));
-    return;
-  }
-
-  CoreLoad& load = core_load_[core % core_load_.size()];
-  if (req.priority == 0 && ShouldShed(load)) {
-    // Overloaded: fast-reject without creating a record (see DispatchBatch).
-    reply.status = TxnStatus::kRetryLater;
-    reply.backoff_hint_ns = ShedHintNanos(load);
-    load.shed.fetch_add(1, std::memory_order_relaxed);
-    MetricIncr(kShedValidates);
-    MetricRecordValue(kShedHintNs, reply.backoff_hint_ns);
-    AttachHints(core, &reply);
-    Reply(from, core, std::move(reply));
-    return;
-  }
-
-  TxnRecord& rec = part.GetOrCreate(req.tid);
-  rec.ts = req.ts;
-  rec.sets = req.sets;  // Adopt the coordinator's shared payload (no copy).
-  rec.status = OccValidate(store_, rec.read_set(), rec.write_set(), rec.ts,
-                           &reply.conflict_hash);
-  reply.status = rec.status;
-  AttachHints(core, &reply);
-  load.inflight.fetch_add(1, std::memory_order_relaxed);
-  Reply(from, core, std::move(reply));
 }
 
 ZCP_FAST_PATH void MeerkatReplica::HandleAccept(CoreId core, const Address& from, const AcceptRequest& req) {

@@ -305,8 +305,6 @@ class MeerkatReplica {
   // across cores, excluded only by the epoch machinery.
   void HandleGet(CoreId core, const Address& from, const GetRequest& req)
       REQUIRES_SHARED(gate_);
-  void HandleValidate(CoreId core, const Address& from, const ValidateRequest& req)
-      REQUIRES_SHARED(gate_);
   void HandleAccept(CoreId core, const Address& from, const AcceptRequest& req)
       REQUIRES_SHARED(gate_);
   void HandleCommit(CoreId core, const Address& from, const CommitRequest& req)

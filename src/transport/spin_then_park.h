@@ -2,8 +2,8 @@
 //
 // The paper's prototype polls its queues (eRPC, §6): a message costs about a
 // microsecond and never waits for a scheduler wake-up. The real-clock runtimes
-// here park an idle endpoint thread instead — on a condvar in
-// Channel::PopAll, in poll() in the UDP poller. A two-thread condvar
+// here park an idle endpoint thread instead (endpoint_runtime.h) — on its
+// inbox condvar on the threaded wire, in ppoll() on UDP. A two-thread condvar
 // ping-pong costs 20–34 µs per round trip on a 4-vCPU KVM guest, against
 // ~0.2 µs when the waiter spins, and on the blocking path of a closed-loop
 // client almost every hop would pay a wake-up.

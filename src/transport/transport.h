@@ -1,4 +1,4 @@
-// Transport abstraction shared by the threaded runtime and the simulator.
+// Transport abstraction shared by the real-clock runtimes and the simulator.
 //
 // A receiver registers under an Address (replica receivers register one
 // endpoint per core, emulating one RSS-steered NIC queue per core, paper
@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <thread>
 
 #include "src/transport/message.h"
 
@@ -36,26 +35,17 @@ struct BatchOptions {
   // Flush a wire frame at this many payload bytes (kept under the 65507-byte
   // UDP datagram ceiling with headroom for the frame headers).
   uint32_t max_bytes = 57344;
-  // Linger window: after draining a smaller-than-max batch, a worker may poll
-  // for up to this long to extend it. 0 = flush immediately (the default:
-  // batching then only amortizes backlog that already exists, adding no
-  // latency at low load).
-  uint64_t flush_delay_ns = 0;
 
-  // Host-aware clamp: on a single-CPU host, spinning out a linger window
-  // starves the very producer that would extend the batch (the known 1-CPU
-  // threaded-load flake), so the window clamps to zero there.
-  BatchOptions ClampedForHost(unsigned hardware_concurrency) const {
+  // Batching only amortizes backlog that already exists (a drain flushes
+  // what it took), so it adds no latency at low load. A zero max_messages
+  // would never flush; it clamps to one.
+  BatchOptions Clamped() const {
     BatchOptions c = *this;
-    if (hardware_concurrency <= 1) {
-      c.flush_delay_ns = 0;
-    }
     if (c.max_messages == 0) {
       c.max_messages = 1;
     }
     return c;
   }
-  BatchOptions Clamped() const { return ClampedForHost(std::thread::hardware_concurrency()); }
 
   BatchOptions& WithEnabled(bool e) {
     enabled = e;
@@ -69,21 +59,14 @@ struct BatchOptions {
     max_bytes = b;
     return *this;
   }
-  BatchOptions& WithFlushDelayNs(uint64_t d) {
-    flush_delay_ns = d;
-    return *this;
-  }
 };
 
-// Endpoint coordinates are packed into fixed-width key fields (the threaded
-// transport's map key and the UDP transport's port directory both pack
-// core into 24 bits and the endpoint id into 32). A coordinate outside its
-// field would silently alias another endpoint — messages for core 2^24 would
-// land on (id+1, core 0) — so registration aborts instead. This must hold in
-// release builds too (RelWithDebInfo defines NDEBUG, which compiles assert()
-// out), hence an explicit check rather than assert.
-inline constexpr uint64_t kMaxEndpointCore = 1ull << 24;  // exclusive bound
-
+// Endpoint coordinates index fixed-size directory slots (the real-clock
+// transports' endpoint directory, endpoint_runtime.h). A coordinate outside
+// its bound would silently alias another endpoint's slot, so registration
+// aborts instead. This must hold in release builds too (RelWithDebInfo
+// defines NDEBUG, which compiles assert() out), hence an explicit check
+// rather than assert.
 inline void CheckEndpointCoord(uint64_t value, uint64_t limit, const char* what) {
   if (value >= limit) {
     std::fprintf(stderr, "meerkat: endpoint %s %llu out of range (limit %llu)\n", what,
@@ -92,22 +75,14 @@ inline void CheckEndpointCoord(uint64_t value, uint64_t limit, const char* what)
   }
 }
 
-// Packs (address, core) into one 64-bit key: [kind:8][id:32][core:24].
-// Aborts if core does not fit its 24-bit field (see CheckEndpointCoord).
-inline uint64_t PackEndpointKey(const Address& addr, CoreId core) {
-  CheckEndpointCoord(core, kMaxEndpointCore, "core");
-  return (static_cast<uint64_t>(addr.kind) << 56) | (static_cast<uint64_t>(addr.id) << 24) |
-         core;
-}
-
 // How many consecutive idle sweeps (2 ms apart) a real-clock transport's
 // DrainForTesting must observe before it returns: one idle sweep can fall
 // between a delivery and the work it enqueues elsewhere.
 inline constexpr int kDrainIdleSweeps = 3;
 
 // Handler for inbound messages. Implementations must be safe to call from the
-// transport's delivery context (a core worker thread in the threaded runtime;
-// the simulator's event loop in the simulated runtime).
+// transport's delivery context (the endpoint's own thread in the real-clock
+// runtimes; the simulator's event loop in the simulated runtime).
 class TransportReceiver {
  public:
   virtual ~TransportReceiver() = default;
@@ -167,7 +142,12 @@ class Transport {
 
   // Deliver TimerFire{timer_id} to `to` after `delay_ns` (virtual or real
   // time depending on the runtime). Timers are how receivers implement
-  // retransmission and failure detection without blocking.
+  // retransmission and failure detection without blocking. The timer fires
+  // in the endpoint's own delivery context whichever thread armed it, and
+  // never crosses the wire or the fault injector. In the real-clock runtimes
+  // a timer armed from that context (inside Receive) costs no lock and no
+  // wake-up; one armed from any other thread goes through the endpoint's
+  // mailbox and wakes it.
   virtual void SetTimer(const Address& to, CoreId core, uint64_t delay_ns, uint64_t timer_id) = 0;
 
   // The transport's fault injector, if it has one (both in-process transports

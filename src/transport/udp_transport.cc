@@ -13,12 +13,10 @@
 #include <chrono>
 #include <cstdarg>
 #include <cstring>
+#include <ctime>
 
-#include "src/common/dap_check.h"
 #include "src/common/metrics.h"
-#include "src/common/trace.h"
 #include "src/transport/serialization.h"
-#include "src/transport/spin_then_park.h"
 
 #ifndef SO_ATTACH_REUSEPORT_CBPF
 #define SO_ATTACH_REUSEPORT_CBPF 51
@@ -28,8 +26,8 @@ namespace meerkat {
 namespace {
 
 // All counters/histograms below live in per-thread slabs (src/common/
-// metrics.h), so every poller — i.e. every emulated core — accounts its own
-// traffic without shared-cacheline traffic on the fast path.
+// metrics.h), so every endpoint thread — i.e. every emulated core — accounts
+// its own traffic without shared-cacheline traffic on the fast path.
 const MetricId kSendBatchSize = MetricsRegistry::Histogram("udp.send_batch_size");
 const MetricId kRecvBatchSize = MetricsRegistry::Histogram("udp.recv_batch_size");
 const MetricId kSentDatagrams = MetricsRegistry::Counter("udp.sent_datagrams");
@@ -62,6 +60,8 @@ constexpr size_t kSteerBytes = 4;
 constexpr size_t kMaxDatagram = 65507;
 // Receive slab stride; at 64 KiB no legal datagram can truncate.
 constexpr size_t kRecvBufSize = 1u << 16;
+// Longest park without a wake: a lost wake datagram can never wedge Stop.
+constexpr std::chrono::milliseconds kMaxPark(100);
 
 [[noreturn]] void Fatal(const char* fmt, ...) {
   va_list ap;
@@ -123,9 +123,9 @@ bool AttachSteeringFilter(int fd) {
 
 // Per-thread send resources: one unbound socket plus reusable encode buffers
 // and scatter/gather arrays sized for a full sendmmsg batch. Thread-local so
-// replica pollers, client threads, and the timer thread all send without
-// sharing (DAP for the send side); buffers keep their capacity, so steady
-// state performs zero allocations per message.
+// endpoint threads and application threads all send without sharing (DAP
+// for the send side); buffers keep their capacity, so steady state performs
+// zero allocations per message.
 struct SendSlab {
   int fd = -1;
   std::vector<uint8_t> bufs[UdpTransport::kSendBatch];
@@ -205,57 +205,46 @@ uint32_t ReadSteerWord(const uint8_t* data) {
 
 }  // namespace
 
+struct UdpTransport::SocketEndpoint : EndpointRuntime::Endpoint {
+  // Read by every sender (the port) on its own cache line: the owner writes
+  // the heap above and the fields below on every park and every drain.
+  alignas(64) int fd = -1;
+  uint16_t port = 0;
+  // Steering word this endpoint expects: the core id for replica endpoints,
+  // 0 for clients.
+  uint32_t steer = 0;
+  // True while the owner is about to block or blocked in ppoll, so a
+  // mailbox push sends a wake datagram only when one is needed.
+  alignas(64) std::atomic<bool> parked{false};
+  // Pooled receive slab: recvmmsg scatters into it and DecodeMessage reads
+  // straight out of it — no per-datagram buffers.
+  std::unique_ptr<uint8_t[]> slab{new uint8_t[kRecvBatch * kRecvBufSize]};
+  ::mmsghdr hdrs[kRecvBatch];
+  ::iovec iovs[kRecvBatch];
+
+  SocketEndpoint(int socket_fd, uint16_t bound_port, uint32_t steer_word)
+      : fd(socket_fd), port(bound_port), steer(steer_word) {
+    std::memset(hdrs, 0, sizeof(hdrs));
+    for (size_t i = 0; i < kRecvBatch; i++) {
+      iovs[i].iov_base = slab.get() + i * kRecvBufSize;
+      iovs[i].iov_len = kRecvBufSize;
+      hdrs[i].msg_hdr.msg_iov = &iovs[i];
+      hdrs[i].msg_hdr.msg_iovlen = 1;
+    }
+  }
+};
+
 UdpTransport::UdpTransport(const Options& options)
-    : base_delay_ns_(options.base_delay_ns),
-      force_distinct_ports_(options.force_distinct_ports) {
-  for (auto& p : replica_ports_) {
-    p.store(0, std::memory_order_relaxed);
-  }
-  for (auto& s : client_slots_) {
-    s.store(0, std::memory_order_relaxed);
-  }
-  timer_thread_ = std::thread([this] { TimerLoop(); });
-}
+    : EndpointRuntime(options.base_delay_ns, kInjectedDrops),
+      force_distinct_ports_(options.force_distinct_ports) {}
 
 UdpTransport::~UdpTransport() { Stop(); }
 
-void UdpTransport::RegisterReplica(ReplicaId replica, CoreId core,
-                                   TransportReceiver* receiver) {
-  RegisterEndpoint(Address::Replica(replica), core, receiver);
-}
-
-void UdpTransport::RegisterClient(uint32_t client_id, TransportReceiver* receiver) {
-  RegisterEndpoint(Address::Client(client_id), 0, receiver);
-}
-
-void UdpTransport::UnregisterClient(uint32_t client_id) {
-  UnregisterEndpoint(Address::Client(client_id), 0);
-}
-
-void UdpTransport::UnregisterReplica(ReplicaId replica, CoreId core) {
-  UnregisterEndpoint(Address::Replica(replica), core);
-}
-
-UdpTransport::Endpoint* UdpTransport::RegisterEndpoint(const Address& addr, CoreId core,
-                                                       TransportReceiver* receiver) {
-  uint64_t key = PackEndpointKey(addr, core);
-  MutexLock lock(endpoints_mu_);
-  auto it = endpoints_.find(key);
-  if (it != endpoints_.end()) {
-    // Re-registration (crash-restart drills): the socket — and its slot in
-    // the reuseport group join order — survives; only the receiver changes.
-    it->second->receiver.store(receiver, std::memory_order_seq_cst);
-    return it->second.get();
-  }
-
-  bool is_replica = addr.kind == Address::Kind::kReplica;
+std::unique_ptr<EndpointRuntime::Endpoint> UdpTransport::OpenEndpoint(const Address& addr,
+                                                                     CoreId core) {
   int fd = -1;
   uint16_t port = 0;
-  if (is_replica) {
-    // Out-of-range coordinates would alias another endpoint's directory
-    // slot; abort rather than mis-deliver (mirrors PackEndpointKey's guard).
-    CheckEndpointCoord(addr.id, kMaxReplicas, "replica id");
-    CheckEndpointCoord(core, kMaxCoresPerReplica, "core");
+  if (addr.kind == Address::Kind::kReplica) {
     int mode = steering_mode_.load(std::memory_order_relaxed);
     if (mode == 0 && force_distinct_ports_) {
       mode = 2;
@@ -302,146 +291,32 @@ UdpTransport::Endpoint* UdpTransport::RegisterEndpoint(const Address& addr, Core
       }
       steering_mode_.store(2, std::memory_order_relaxed);
     }
-    replica_ports_[addr.id * kMaxCoresPerReplica + core].store(port,
-                                                              std::memory_order_release);
-  } else {
-    // Clients never share ports; no steering needed.
-    fd = OpenBoundSocket(0, /*reuseport=*/false, &port);
-    if (fd < 0) {
-      Fatal("meerkat: udp socket/bind failed for client %u: %s", addr.id,
-            std::strerror(errno));
-    }
-    PublishClientPort(addr.id, port);
+    return std::make_unique<SocketEndpoint>(fd, port, core);
   }
-
-  auto ep = std::make_unique<Endpoint>();
-  ep->fd = fd;
-  ep->port = port;
-  ep->steer = is_replica ? core : 0;
-  ep->receiver.store(receiver, std::memory_order_seq_cst);
-  Endpoint* raw = ep.get();
-  raw->poller = std::thread([this, raw] { PollerLoop(raw); });
-  endpoints_[key] = std::move(ep);
-  return raw;
-}
-
-void UdpTransport::PublishClientPort(uint32_t client_id, uint16_t port) {
-  constexpr uint64_t kOccupied = 1ull << 63;
-  uint64_t h = client_id * 0x9E3779B97F4A7C15ull;
-  for (size_t probe = 0; probe < kMaxClientSlots; probe++) {
-    size_t idx = (h + probe) & (kMaxClientSlots - 1);
-    uint64_t slot = client_slots_[idx].load(std::memory_order_relaxed);
-    if (slot == 0) {
-      client_slots_[idx].store(kOccupied | (static_cast<uint64_t>(client_id) << 16) | port,
-                               std::memory_order_release);
-      return;
-    }
-    if (((slot >> 16) & 0xFFFFFFFFull) == client_id) {
-      return;  // Re-registration; the socket (and port) is reused.
-    }
+  // Clients never share ports; no steering needed.
+  fd = OpenBoundSocket(0, /*reuseport=*/false, &port);
+  if (fd < 0) {
+    Fatal("meerkat: udp socket/bind failed for client %u: %s", addr.id, std::strerror(errno));
   }
-  Fatal("meerkat: udp client port directory full (%zu clients)", kMaxClientSlots);
+  return std::make_unique<SocketEndpoint>(fd, port, 0);
 }
 
 uint16_t UdpTransport::LookupPort(const Address& addr, CoreId core) const {
-  if (addr.kind == Address::Kind::kReplica) {
-    if (addr.id >= kMaxReplicas || core >= kMaxCoresPerReplica) {
-      return 0;
-    }
-    return static_cast<uint16_t>(
-        replica_ports_[addr.id * kMaxCoresPerReplica + core].load(std::memory_order_acquire));
-  }
-  uint64_t h = addr.id * 0x9E3779B97F4A7C15ull;
-  for (size_t probe = 0; probe < kMaxClientSlots; probe++) {
-    size_t idx = (h + probe) & (kMaxClientSlots - 1);
-    uint64_t slot = client_slots_[idx].load(std::memory_order_acquire);
-    if (slot == 0) {
-      return 0;
-    }
-    if (((slot >> 16) & 0xFFFFFFFFull) == addr.id) {
-      return static_cast<uint16_t>(slot & 0xFFFF);
-    }
-  }
-  return 0;
-}
-
-void UdpTransport::UnregisterEndpoint(const Address& addr, CoreId core) {
-  Endpoint* ep = nullptr;
-  {
-    MutexLock lock(endpoints_mu_);
-    auto it = endpoints_.find(PackEndpointKey(addr, core));
-    if (it == endpoints_.end()) {
-      return;
-    }
-    ep = it->second.get();
-  }
-  // The socket stays bound (late retransmissions land as counted
-  // no-receiver drops, and a reuseport group member must never leave the
-  // group or the join-order/core mapping breaks); only the receiver detaches.
-  ep->receiver.store(nullptr, std::memory_order_seq_cst);
-  // Wait out an in-flight dispatch batch so the caller may destroy the
-  // receiver. The seq_cst pairing with `busy` in DrainReadySocket guarantees
-  // the poller either saw the nullptr or we see busy==true and wait.
-  while (ep->busy.load(std::memory_order_seq_cst)) {
-    std::this_thread::yield();
-  }
+  const Endpoint* ep = Find(addr, core);
+  return ep == nullptr ? 0 : static_cast<const SocketEndpoint*>(ep)->port;
 }
 
 // --- Send path -------------------------------------------------------------
 
-void UdpTransport::Send(Message msg) {
-  FaultInjector::Verdict v = faults_.Judge(msg);
-  if (v.drop) {
-    MetricIncr(kInjectedDrops);
-    return;
-  }
-  uint64_t delay = base_delay_ns_ + v.extra_delay_ns;
-  if (delay == 0) {
-    const Message* batch[2] = {&msg, &msg};
-    WireSend(batch, v.duplicate ? 2 : 1);
-    return;
-  }
-  if (v.duplicate) {
-    DeliverDelayed(msg, delay);
-  }
-  DeliverDelayed(std::move(msg), delay);
-}
-
-void UdpTransport::SendMany(Message* msgs, size_t n) {
-  // Judge each message, then flush every immediate one in a single wire
-  // batch (one sendmmsg for a whole quorum fan-out). Delayed/duplicated
-  // messages take the timer heap like Send.
-  const Message* immediate[kSendBatch];
-  size_t k = 0;
-  for (size_t i = 0; i < n; i++) {
-    FaultInjector::Verdict v = faults_.Judge(msgs[i]);
-    if (v.drop) {
-      MetricIncr(kInjectedDrops);
-      continue;
+void UdpTransport::Transmit(Message* msgs, size_t n) {
+  // One WireSend per sendmmsg batch: a whole quorum fan-out is one syscall.
+  const Message* staged[kSendBatch];
+  for (size_t off = 0; off < n; off += kSendBatch) {
+    const size_t k = std::min(kSendBatch, n - off);
+    for (size_t i = 0; i < k; i++) {
+      staged[i] = &msgs[off + i];
     }
-    uint64_t delay = base_delay_ns_ + v.extra_delay_ns;
-    if (delay == 0) {
-      if (v.duplicate) {
-        if (k == kSendBatch) {
-          WireSend(immediate, k);
-          k = 0;
-        }
-        immediate[k++] = &msgs[i];
-      }
-      if (k == kSendBatch) {
-        WireSend(immediate, k);
-        k = 0;
-      }
-      immediate[k++] = &msgs[i];
-    } else {
-      if (v.duplicate) {
-        DeliverDelayed(msgs[i], delay);
-      }
-      DeliverDelayed(std::move(msgs[i]), delay);
-    }
-  }
-  if (k != 0) {
-    WireSend(immediate, k);
+    WireSend(staged, k);
   }
 }
 
@@ -578,139 +453,71 @@ ZCP_FAST_PATH void UdpTransport::WireSend(const Message* const* msgs, size_t n) 
   }
 }
 
-void UdpTransport::DeliverDelayed(Message msg, uint64_t delay_ns) {
-  {
-    MutexLock lock(timer_mu_);
-    if (stopping_) {
-      return;
-    }
-    timer_heap_.push_back(PendingTimer{
-        std::chrono::steady_clock::now() + std::chrono::nanoseconds(delay_ns), std::move(msg)});
-    std::push_heap(timer_heap_.begin(), timer_heap_.end());
-  }
-  timer_cv_.NotifyOne();
-}
-
-void UdpTransport::SetTimer(const Address& to, CoreId core, uint64_t delay_ns,
-                            uint64_t timer_id) {
-  Message msg;
-  msg.src = to;
-  msg.dst = to;
-  msg.core = core;
-  msg.payload = TimerFire{timer_id};
-  // Timers are local to the node; they bypass fault injection (but still
-  // travel the wire, so they arrive on the owning core's poller).
-  DeliverDelayed(std::move(msg), delay_ns == 0 ? 1 : delay_ns);
-}
-
-void UdpTransport::TimerLoop() {
-  // Same shape as ThreadedTransport::TimerLoop: lexically balanced
-  // lock()/unlock() so the thread-safety analysis tracks the capability
-  // through the mid-loop release around the wire send.
-  timer_mu_.lock();
-  while (!stopping_) {
-    if (timer_heap_.empty()) {
-      timer_cv_.Wait(timer_mu_);
-      continue;
-    }
-    auto deadline = timer_heap_.front().deadline;
-    if (timer_cv_.WaitUntil(timer_mu_, deadline) == std::cv_status::timeout ||
-        std::chrono::steady_clock::now() >= deadline) {
-      while (!timer_heap_.empty() &&
-             timer_heap_.front().deadline <= std::chrono::steady_clock::now()) {
-        std::pop_heap(timer_heap_.begin(), timer_heap_.end());
-        Message msg = std::move(timer_heap_.back().msg);
-        timer_heap_.pop_back();
-        timer_mu_.unlock();
-        const Message* one[1] = {&msg};
-        WireSend(one, 1);
-        timer_mu_.lock();
-        if (stopping_) {
-          timer_mu_.unlock();
-          return;
-        }
-      }
-    }
-  }
-  timer_mu_.unlock();
-}
-
 // --- Receive path ----------------------------------------------------------
 
-void UdpTransport::PollerLoop(Endpoint* ep) {
-  // This thread is one logical core's delivery context — exactly the threads
-  // the DAP detector stamps as partition owners.
-  DapAudit::BindCurrentThread();
-  WarmupMetricsForThisThread();
-  WarmupTraceForThisThread();
-  // Pooled receive slab, allocated once per poller: recvmmsg scatters into
-  // it and DecodeMessage reads straight out of it — no per-datagram buffers.
-  std::unique_ptr<uint8_t[]> slab(new uint8_t[kRecvBatch * kRecvBufSize]);
-  ::mmsghdr hdrs[kRecvBatch];
-  ::iovec iovs[kRecvBatch];
-  std::memset(hdrs, 0, sizeof(hdrs));
-  for (size_t i = 0; i < kRecvBatch; i++) {
-    iovs[i].iov_base = slab.get() + i * kRecvBufSize;
-    iovs[i].iov_len = kRecvBufSize;
-    hdrs[i].msg_hdr.msg_iov = &iovs[i];
-    hdrs[i].msg_hdr.msg_iovlen = 1;
+size_t UdpTransport::DrainWire(Endpoint* ep, std::vector<Message>* batch) {
+  return DrainReadySocket(static_cast<SocketEndpoint*>(ep), batch);
+}
+
+void UdpTransport::Park(Endpoint* base, Clock::time_point deadline) {
+  auto* ep = static_cast<SocketEndpoint*>(base);
+  // Dekker-style with Wake: publish `parked`, then look for work that a
+  // pusher may have queued while it still saw parked == false.
+  ep->parked.store(true, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!ep->mailbox.Empty() || stopping()) {
+    ep->parked.store(false, std::memory_order_relaxed);
+    return;
   }
-  // Reusable decode staging for DrainReadySocket: batch frames fan out into
-  // it, and its capacity survives across rounds (no steady-state allocation
-  // for the vector itself).
-  std::vector<Message> inbox;
+  // ppoll's nanosecond timeout: poll()'s millisecond one would round every
+  // timer up by as much as a millisecond.
+  const auto wait = std::clamp<Clock::duration>(deadline - Clock::now(), Clock::duration::zero(),
+                                                kMaxPark);
+  const auto secs = std::chrono::duration_cast<std::chrono::seconds>(wait);
+  ::timespec ts{};
+  ts.tv_sec = static_cast<time_t>(secs.count());
+  ts.tv_nsec = static_cast<long>(std::chrono::nanoseconds(wait - secs).count());
   ::pollfd pfd{ep->fd, POLLIN, 0};
-  // Spin-then-park (spin_then_park.h): after a drain, keep probing with
-  // non-blocking drains before parking in poll() again. Stop and pause end
-  // the probe before it touches the socket.
-  auto probe = [&] {
-    return ep->stop.load(std::memory_order_acquire) ||
-           pollers_paused_.load(std::memory_order_acquire) ||
-           DrainReadySocket(ep, slab.get(), hdrs, &inbox) > 0;
-  };
-  bool drained = false;
-  while (!ep->stop.load(std::memory_order_acquire)) {
-    if (pollers_paused_.load(std::memory_order_acquire)) {
-      // Parked for a send-path bench: sleep instead of draining so receive
-      // work stops competing for CPU. The kernel discards overflow once the
-      // socket buffer fills.
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      continue;
-    }
-    if (drained && ProbeBeforePark(probe)) {
-      continue;  // Took more datagrams (or is stopping): probe afresh.
-    }
-    drained = false;
-    pfd.revents = 0;
-    // Finite timeout so a lost wake datagram can never wedge shutdown. A
-    // poller paused while parked must not dispatch the datagram that woke it.
-    int pr = ::poll(&pfd, 1, 100);
-    if (pr <= 0 || pollers_paused_.load(std::memory_order_acquire)) {
-      continue;
-    }
-    DrainReadySocket(ep, slab.get(), hdrs, &inbox);
-    drained = true;
+  (void)::ppoll(&pfd, 1, &ts, nullptr);
+  ep->parked.store(false, std::memory_order_relaxed);
+}
+
+void UdpTransport::Wake(Endpoint* base) {
+  auto* ep = static_cast<SocketEndpoint*>(base);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!ep->parked.load(std::memory_order_relaxed)) {
+    return;
   }
+  // A steer-only datagram: its own steering word routes it to the right
+  // reuseport group member, which discards it after waking.
+  const int fd = t_send_slab.Fd();
+  if (fd < 0) {
+    return;
+  }
+  uint8_t wake[kSteerBytes];
+  wake[0] = static_cast<uint8_t>(ep->steer >> 24);
+  wake[1] = static_cast<uint8_t>(ep->steer >> 16);
+  wake[2] = static_cast<uint8_t>(ep->steer >> 8);
+  wake[3] = static_cast<uint8_t>(ep->steer);
+  sockaddr_in dst{};
+  dst.sin_family = AF_INET;
+  dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  dst.sin_port = htons(ep->port);
+  (void)::sendto(fd, wake, sizeof(wake), 0, reinterpret_cast<sockaddr*>(&dst), sizeof(dst));
 }
 
-void UdpTransport::SetPollersPausedForTesting(bool paused) {
-  pollers_paused_.store(paused, std::memory_order_release);
-}
-
-ZCP_FAST_PATH size_t UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
-                                                    ::mmsghdr* hdrs,
+ZCP_FAST_PATH size_t UdpTransport::DrainReadySocket(SocketEndpoint* ep,
                                                     std::vector<Message>* inbox) {
-  const BatchOptions opts = batch_options();
   size_t taken = 0;
-  // Drain until EAGAIN: one poll wakeup handles the whole backlog, and the
+  // Drain until EAGAIN: one wakeup handles the whole backlog, and the
   // batch-size histogram records how much each recvmmsg amortized.
   for (;;) {
     // `busy` brackets both the kernel dequeue and the dispatches so
-    // UnregisterEndpoint/DrainForTesting never observe a datagram that is
-    // neither in the kernel queue nor delivered. seq_cst: Dekker-style
-    // pairing with the receiver swap (see Endpoint::receiver).
+    // Unregister/DrainForTesting never observe a datagram that is neither in
+    // the kernel queue nor delivered. seq_cst: Dekker-style pairing with the
+    // receiver swap (see Endpoint::receiver).
     ep->busy.store(true, std::memory_order_seq_cst);
-    int n = ::recvmmsg(ep->fd, hdrs, kRecvBatch, MSG_DONTWAIT, nullptr);
+    int n = ::recvmmsg(ep->fd, ep->hdrs, kRecvBatch, MSG_DONTWAIT, nullptr);
     if (n <= 0) {
       ep->busy.store(false, std::memory_order_seq_cst);
       if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
@@ -721,12 +528,11 @@ ZCP_FAST_PATH size_t UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
     taken += static_cast<size_t>(n);
     MetricRecordValue(kRecvBatchSize, static_cast<uint64_t>(n));
     TransportReceiver* receiver = ep->receiver.load(std::memory_order_seq_cst);
-    inbox->clear();
     for (int i = 0; i < n; i++) {
-      const uint8_t* data = slab + static_cast<size_t>(i) * kRecvBufSize;
-      size_t len = hdrs[i].msg_len;
+      const uint8_t* data = ep->slab.get() + static_cast<size_t>(i) * kRecvBufSize;
+      size_t len = ep->hdrs[i].msg_len;
       MetricIncr(kRecvDatagrams);
-      if ((hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
+      if ((ep->hdrs[i].msg_hdr.msg_flags & MSG_TRUNC) != 0) {
         MetricIncr(kTruncatedDrops);
         continue;
       }
@@ -741,7 +547,7 @@ ZCP_FAST_PATH size_t UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
         continue;
       }
       if (len == kSteerBytes) {
-        continue;  // Steer-only wake datagram (Stop).
+        continue;  // Steer-only wake datagram (Wake).
       }
       if (receiver == nullptr) {
         // Checked before decoding: a detached endpoint's datagrams are
@@ -769,118 +575,25 @@ ZCP_FAST_PATH size_t UdpTransport::DrainReadySocket(Endpoint* ep, uint8_t* slab,
       }
       inbox->push_back(std::move(msg));
     }
-    // Dispatch the round's logical messages: one ReceiveBatch per governor
-    // chunk with batching on, the exact legacy per-message path with it off.
     // Still inside the busy bracket, so unregister cannot race the receiver.
-    if (!inbox->empty()) {
-      if (opts.enabled) {
-        const size_t chunk_max = opts.max_messages > 0 ? opts.max_messages : inbox->size();
-        for (size_t off = 0; off < inbox->size(); off += chunk_max) {
-          const size_t chunk = std::min(chunk_max, inbox->size() - off);
-          receiver->ReceiveBatch(inbox->data() + off, chunk);
-        }
-      } else {
-        for (Message& msg : *inbox) {
-          receiver->Receive(std::move(msg));
-        }
-      }
-      inbox->clear();
-    }
+    Deliver(receiver, inbox);
     ep->busy.store(false, std::memory_order_seq_cst);
   }
 }
 
-// --- Shutdown / test support ----------------------------------------------
+// --- Test quiesce and shutdown ---------------------------------------------
 
-void UdpTransport::Stop() {
-  {
-    MutexLock lock(timer_mu_);
-    if (stopping_) {
-      return;
-    }
-    stopping_ = true;
-  }
-  timer_cv_.NotifyAll();
-  if (timer_thread_.joinable()) {
-    timer_thread_.join();
-  }
-  // No new endpoints are registered during shutdown, so iterating without
-  // the lock held across joins is safe.
-  std::vector<Endpoint*> eps;
-  {
-    MutexLock lock(endpoints_mu_);
-    for (auto& [key, ep] : endpoints_) {
-      (void)key;
-      eps.push_back(ep.get());
-    }
-  }
-  for (Endpoint* ep : eps) {
-    ep->stop.store(true, std::memory_order_release);
-  }
-  // Steer-only wake datagrams cut the up-to-100ms poll timeout short; each
-  // carries the endpoint's own steering word so reuseport groups route it to
-  // the right member.
-  int wfd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (wfd >= 0) {
-    for (Endpoint* ep : eps) {
-      uint8_t wake[kSteerBytes];
-      wake[0] = static_cast<uint8_t>(ep->steer >> 24);
-      wake[1] = static_cast<uint8_t>(ep->steer >> 16);
-      wake[2] = static_cast<uint8_t>(ep->steer >> 8);
-      wake[3] = static_cast<uint8_t>(ep->steer);
-      sockaddr_in dst{};
-      dst.sin_family = AF_INET;
-      dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-      dst.sin_port = htons(ep->port);
-      (void)::sendto(wfd, wake, sizeof(wake), 0, reinterpret_cast<sockaddr*>(&dst),
-                     sizeof(dst));
-    }
-    ::close(wfd);
-  }
-  for (Endpoint* ep : eps) {
-    if (ep->poller.joinable()) {
-      ep->poller.join();
-    }
-    if (ep->fd >= 0) {
-      ::close(ep->fd);
-      ep->fd = -1;
-    }
-  }
+bool UdpTransport::WireIdle(Endpoint* base) {
+  auto* ep = static_cast<SocketEndpoint*>(base);
+  int queued = 0;
+  return ep->fd < 0 || ::ioctl(ep->fd, FIONREAD, &queued) != 0 || queued == 0;
 }
 
-void UdpTransport::DrainForTesting() {
-  // Quiesced = kernel receive queues empty, no dispatch in flight, timer
-  // heap empty — on kDrainIdleSweeps consecutive sweeps, since a message
-  // seen mid-flight can enqueue work for another endpoint.
-  int idle_sweeps = 0;
-  for (int round = 0; round < 500; round++) {
-    bool all_idle = true;
-    {
-      MutexLock lock(endpoints_mu_);
-      for (auto& [key, ep] : endpoints_) {
-        (void)key;
-        int pending = 0;
-        if (ep->fd >= 0 && ::ioctl(ep->fd, FIONREAD, &pending) == 0 && pending > 0) {
-          all_idle = false;
-          break;
-        }
-        if (ep->busy.load(std::memory_order_acquire)) {
-          all_idle = false;
-          break;
-        }
-      }
-    }
-    {
-      MutexLock lock(timer_mu_);
-      if (!timer_heap_.empty()) {
-        all_idle = false;
-      }
-    }
-    idle_sweeps = all_idle ? idle_sweeps + 1 : 0;
-    if (idle_sweeps == kDrainIdleSweeps) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+void UdpTransport::CloseWire(Endpoint* base) {
+  auto* ep = static_cast<SocketEndpoint*>(base);
+  if (ep->fd >= 0) {
+    ::close(ep->fd);
+    ep->fd = -1;
   }
 }
 
@@ -889,7 +602,7 @@ bool UdpTransport::reuseport_steering() const {
 }
 
 uint16_t UdpTransport::PortOfForTesting(const Address& addr, CoreId core) const {
-  return LookupPort(addr, addr.kind == Address::Kind::kClient ? 0 : core);
+  return LookupPort(addr, core);
 }
 
 }  // namespace meerkat

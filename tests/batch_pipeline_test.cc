@@ -1,6 +1,6 @@
 // Batched delivery pipeline tests: DispatchBatch semantics (one gate
 // acquisition, one OCC sweep, staged replies) driven synchronously through a
-// loopback transport; the governor's host-aware clamps; Channel::PushAll; and
+// loopback transport; the governor and probe-window clamps; Channel::PushAll; and
 // fault-matrix cells asserting that drop/duplicate/delay of messages that ride
 // a coalesced batch behave exactly per logical message (the injector judges
 // before coalescing).
@@ -197,26 +197,13 @@ TEST_F(BatchDispatchFixture, BatchRoutesToTheAddressedCorePartition) {
   EXPECT_EQ(replica_->trecord().Partition(0).Find({1, 1}), nullptr);
 }
 
-// --- Governor clamps (the 1-CPU deflake satellite) --------------------------
-
-TEST(BatchOptionsTest, SingleCpuHostClampsLingerWindowToZero) {
-  BatchOptions opts = BatchOptions().WithFlushDelayNs(200'000).WithMaxMessages(32);
-  BatchOptions clamped = opts.ClampedForHost(/*hardware_concurrency=*/1);
-  EXPECT_EQ(clamped.flush_delay_ns, 0u)
-      << "lingering on a 1-CPU host starves the producer it waits for";
-  EXPECT_EQ(clamped.max_messages, 32u);
-  EXPECT_TRUE(clamped.enabled);
-}
-
-TEST(BatchOptionsTest, MultiCpuHostKeepsLingerWindow) {
-  BatchOptions opts = BatchOptions().WithFlushDelayNs(200'000);
-  EXPECT_EQ(opts.ClampedForHost(8).flush_delay_ns, 200'000u);
-  EXPECT_EQ(opts.ClampedForHost(2).flush_delay_ns, 200'000u);
-}
+// --- Governor and probe clamps ------------------------------------------------
 
 TEST(BatchOptionsTest, ZeroMaxMessagesClampsToOne) {
-  EXPECT_EQ(BatchOptions().WithMaxMessages(0).ClampedForHost(8).max_messages, 1u);
-  EXPECT_EQ(BatchOptions().WithMaxMessages(0).ClampedForHost(1).max_messages, 1u);
+  EXPECT_EQ(BatchOptions().WithMaxMessages(0).Clamped().max_messages, 1u);
+  BatchOptions clamped = BatchOptions().WithMaxMessages(32).Clamped();
+  EXPECT_EQ(clamped.max_messages, 32u) << "a non-zero max_messages survives the clamp";
+  EXPECT_TRUE(clamped.enabled);
 }
 
 TEST(ChannelSpinClampTest, SingleCpuHostDoesNotSpin) {
@@ -278,18 +265,6 @@ TEST(BatchPipelineEndToEnd, BatchedAndUnbatchedRunsAgree) {
   EXPECT_EQ(a, b);
   for (int i = 0; i < 24; i++) {
     EXPECT_EQ(a[i], "v" + std::to_string(i));
-  }
-}
-
-TEST(BatchPipelineEndToEnd, LingerWindowCommitsEverything) {
-  // A nonzero flush window (clamped away automatically on 1-CPU hosts) must
-  // only coalesce, never lose or reorder per-endpoint traffic.
-  SystemOptions options = DefaultOptions(SystemKind::kMeerkat, /*cores=*/2);
-  options.retry = RetryPolicy::WithTimeout(2'000'000);
-  options.batching = BatchOptions().WithFlushDelayNs(50'000).WithMaxMessages(8);
-  std::vector<std::string> finals = RunRmwWorkload(options, 16);
-  for (int i = 0; i < 16; i++) {
-    EXPECT_EQ(finals[i], "v" + std::to_string(i));
   }
 }
 

@@ -1,9 +1,10 @@
 // Stress tests for the MPSC channel's fast-path machinery: multi-producer
 // pushes against a batch-draining consumer, the push/close race, the
 // FIFO-per-producer ordering guarantee through PopAll, and the liveness of
-// spin-then-park consumers that outnumber the CPUs. Run these under
-// ThreadSanitizer (see .github/workflows/ci.yml) to validate the lock-free
-// probe atomics.
+// spin-then-park consumers that outnumber the CPUs. Consumers run the
+// endpoint loop's sequence (endpoint_runtime.h) reduced to one channel:
+// drain, probe for the probe window, park. Run these under ThreadSanitizer
+// (see .github/workflows/ci.yml) to validate the lock-free probe atomic.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +17,26 @@
 #include <vector>
 
 #include "src/transport/channel.h"
+#include "src/transport/spin_then_park.h"
 
 namespace meerkat {
 namespace {
+
+// Drains `ch` into `out`, probing (spin_then_park.h) and then parking while
+// it is empty. Returns false once the channel is closed and drained.
+template <typename T>
+bool PopAllBlocking(Channel<T>& ch, std::vector<T>& out) {
+  if (ch.PopAll(out) > 0) {
+    return true;
+  }
+  ProbeBeforePark([&ch] { return !ch.Empty(); });
+  while (ch.PopAll(out) == 0) {
+    if (!ch.WaitUntil(std::chrono::steady_clock::time_point::max())) {
+      return false;
+    }
+  }
+  return true;
+}
 
 TEST(ChannelStressTest, MultiProducerBatchDrainDeliversEverythingInOrder) {
   Channel<uint64_t> ch;
@@ -41,7 +59,7 @@ TEST(ChannelStressTest, MultiProducerBatchDrainDeliversEverythingInOrder) {
   std::vector<uint64_t> next_seq(kProducers, 0);
   std::thread consumer([&] {
     std::vector<uint64_t> batch;
-    while (ch.PopAll(batch)) {
+    while (PopAllBlocking(ch, batch)) {
       batches++;
       max_batch = std::max<uint64_t>(max_batch, batch.size());
       for (uint64_t v : batch) {
@@ -96,12 +114,12 @@ TEST(ChannelStressTest, PushCloseRaceNeverLosesAcceptedItems) {
     uint64_t received = 0;
     std::thread consumer([&] {
       std::vector<int> batch;
-      while (ch.PopAll(batch)) {
+      while (PopAllBlocking(ch, batch)) {
         received += batch.size();
       }
-      // After PopAll returns false the channel must be closed and empty.
-      ASSERT_TRUE(ch.closed());
-      ASSERT_EQ(ch.Size(), 0u);
+      // Once the consumer is done the channel must be closed and empty.
+      ASSERT_FALSE(ch.Push(0));
+      ASSERT_TRUE(ch.Empty());
     });
     std::thread closer([&] { ch.Close(); });
     for (auto& t : producers) {
@@ -116,16 +134,17 @@ TEST(ChannelStressTest, PushCloseRaceNeverLosesAcceptedItems) {
 TEST(ChannelStressTest, TryPopAllDrainsWithoutBlocking) {
   Channel<int> ch;
   std::vector<int> out;
-  EXPECT_EQ(ch.TryPopAll(out), 0u);  // Empty: returns immediately.
+  EXPECT_EQ(ch.PopAll(out), 0u);  // Empty: returns immediately.
   for (int i = 0; i < 100; i++) {
     ch.Push(i);
   }
-  EXPECT_EQ(ch.TryPopAll(out), 100u);
+  EXPECT_FALSE(ch.Empty());
+  EXPECT_EQ(ch.PopAll(out), 100u);
   for (int i = 0; i < 100; i++) {
     EXPECT_EQ(out[static_cast<size_t>(i)], i);
   }
-  EXPECT_EQ(ch.Size(), 0u);
-  EXPECT_EQ(ch.TryPopAll(out), 0u);
+  EXPECT_TRUE(ch.Empty());
+  EXPECT_EQ(ch.PopAll(out), 0u);
 }
 
 TEST(ChannelStressTest, PopAllBlocksUntilPushThenDrains) {
@@ -138,12 +157,12 @@ TEST(ChannelStressTest, PopAllBlocksUntilPushThenDrains) {
     ch.Push(1);
     ch.Push(2);
   });
-  ASSERT_TRUE(ch.PopAll(out));
+  ASSERT_TRUE(PopAllBlocking(ch, out));
   producer.join();
   ASSERT_GE(out.size(), 1u);
   EXPECT_EQ(out[0], 1);
   std::vector<int> rest;
-  ch.TryPopAll(rest);
+  ch.PopAll(rest);
   EXPECT_EQ(out.size() + rest.size(), 2u);
 }
 
@@ -152,7 +171,7 @@ TEST(ChannelStressTest, CloseUnblocksParkedBatchConsumer) {
   std::atomic<bool> returned{false};
   std::thread consumer([&] {
     std::vector<int> out;
-    EXPECT_FALSE(ch.PopAll(out));
+    EXPECT_FALSE(PopAllBlocking(ch, out));
     EXPECT_TRUE(out.empty());
     returned.store(true, std::memory_order_release);
   });
@@ -181,7 +200,7 @@ TEST(ChannelSpinThenParkTest, TokenRingWithMoreConsumersThanCpusKeepsMoving) {
   for (size_t i = 0; i < n; i++) {
     consumers.emplace_back([&, i] {
       std::vector<int> batch;
-      while (ring[i]->PopAll(batch)) {
+      while (PopAllBlocking(*ring[i], batch)) {
         for (int hop : batch) {
           hops.store(hop, std::memory_order_relaxed);
           if (hop == kHops) {
@@ -219,7 +238,7 @@ TEST(ChannelSpinThenParkTest, CloseEndsAProbingPopAllPromptly) {
   std::thread consumer([&] {
     std::vector<int> out;
     entered.store(true, std::memory_order_release);
-    EXPECT_FALSE(ch.PopAll(out));
+    EXPECT_FALSE(PopAllBlocking(ch, out));
     EXPECT_TRUE(out.empty());
     returned_at = std::chrono::steady_clock::now();
   });

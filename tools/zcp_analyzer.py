@@ -21,8 +21,9 @@ Rules (fingerprints never embed line numbers, so baselines survive churn):
            root (Partition(expr) with a non-self core, or the *All helpers).
   ZCPA004  std::atomic operation without an explicit memory order, anywhere
            in src/. Receivers are resolved through the class member-type
-           map, locals (including `auto` range-for variables) and arrays of
-           atomics, so any atomic is covered no matter what it is called.
+           map (members inherited from base classes included), locals
+           (including `auto` range-for variables) and arrays of atomics, so
+           any atomic is covered no matter what it is called.
            Atomics inside lambda bodies count too.
   ZCPA005  a writable global: any writable namespace-scope variable in
            src/, atomic or not, is a finding at its declaration unless it
@@ -365,6 +366,7 @@ class Model:
         self.by_name = defaultdict(list)
         self.class_members = defaultdict(dict)   # cls -> member -> base type
         self.atomic_members = defaultdict(set)   # cls -> {member}
+        self.class_bases = defaultdict(list)     # cls -> [base class]
         self.atomic_globals = set()
         self.writable_globals = {}            # non-atomic name -> (file, line, snippet)
         self.global_decls = []                # (file, line, name, waived)
@@ -374,6 +376,21 @@ class Model:
         self.backend = "internal"
         self.notes = []
         self.resolver = None   # the InternalBackend that built it: receiver types
+
+    def declaring_class(self, cls, member, table=None):
+        """The class, `cls` or one of its bases, that declares `member` in
+        `table` (class_members by default), or None."""
+        table = self.class_members if table is None else table
+        seen, todo = set(), [cls]
+        while todo:
+            c = todo.pop(0)
+            if c in seen:
+                continue
+            seen.add(c)
+            if member in table.get(c, ()):
+                return c
+            todo.extend(self.class_bases.get(c, ()))
+        return None
 
     def add_func(self, f):
         self.funcs.append(f)
@@ -444,9 +461,28 @@ LOCK_MEMBER_TYPES = {"Mutex", "RecursiveMutex", "SharedMutex", "KeyLock",
                      "std::mutex", "std::recursive_mutex", "std::shared_mutex"}
 
 
+def class_bases(intro):
+    """Base class names from a class introducer (`struct D : public A::B`
+    -> ["B"])."""
+    s = " ".join(KEPT_WAIVER_RE.sub("", intro).split())
+    m = re.search(r"\b(?:class|struct)\b[^:]*?(?:[A-Za-z_]\w*::)*[A-Za-z_]\w*"
+                  r"\s*(?:final\s*)?:(?!:)(.*)$", s)
+    if not m:
+        return []
+    bases = []
+    for part in m.group(1).split(","):
+        name = re.sub(r"<.*", "", part)
+        name = re.sub(r"\b(?:public|protected|private|virtual)\b", "", name).strip()
+        if name:
+            bases.append(name.rsplit("::", 1)[-1])
+    return bases
+
+
 def classify_introducer(intro):
     """Classifies the text before a `{` at namespace/class level."""
     s = " ".join(KEPT_WAIVER_RE.sub("", intro).split())
+    # `alignas(64) std::atomic<bool> parked{false}` is a member, not a call.
+    s = re.sub(r"\balignas\s*\([^)]*\)\s*", "", s)
     if not s:
         return ("block", "")
     if re.match(r"^(?:inline\s+)?namespace\b", s):
@@ -457,9 +493,10 @@ def classify_introducer(intro):
     m = re.search(r"\b(class|struct|union)\b(?:\s+\[\[[^\]]*\]\])?"
                   r"(?:\s+(?:alignas\s*\([^)]*\)|CAPABILITY\s*\([^)]*\)|"
                   r"SCOPED_CAPABILITY|\w+\s*\([^)]*\)))*"
-                  r"\s+([A-Za-z_]\w*)\s*(?:final\s*)?(?::[^;{]*)?$", s)
+                  r"\s+((?:[A-Za-z_]\w*::)*[A-Za-z_]\w*)\s*(?:final\s*)?"
+                  r"(?::(?!:)[^;{]*)?$", s)
     if m and "=" not in s.split(m.group(1))[0]:
-        return ("class", m.group(2))
+        return ("class", m.group(2).rsplit("::", 1)[-1])
     if re.search(r"\benum\b", s):
         return ("enum", "")
     name = extract_func_name(s)
@@ -698,6 +735,8 @@ class InternalBackend:
                         stack.append(("braceinit", "", i))
                         # Statement continues through the brace-init.
                     else:
+                        if kind == "class":
+                            model.class_bases[name] = class_bases(intro)
                         stack.append((kind, name, i))
                         seg_start = i + 1
             elif c == "}":
@@ -920,10 +959,10 @@ class InternalBackend:
             return None
         rest = [p for p in parts[1:] if p]
         for p in rest:
-            nxt = self.model.class_members.get(cls, {}).get(p)
-            if nxt is None:
+            decl = self.model.declaring_class(cls, p)
+            if decl is None:
                 return cls if p == rest[-1] else None
-            cls = self.class_of_type(nxt)
+            cls = self.class_of_type(self.model.class_members[decl][p])
         return cls
 
     def lock_identity(self, func, expr):
@@ -1038,8 +1077,10 @@ class InternalBackend:
         else:
             # Receiver chain resolution: owner class of the last component.
             owner = self.resolve_receiver_class(func, ".".join(parts[:-1]))
-            if owner and member in model.atomic_members.get(owner, ()):
-                return f"{owner}::{member}"
+            decl = owner and model.declaring_class(owner, member,
+                                                   model.atomic_members)
+            if decl:
+                return f"{decl}::{member}"
         # Local or parameter of atomic type?
         if len(parts) == 1 and "atomic" in (func.local_types.get(head),
                                             func.param_types.get(head)):

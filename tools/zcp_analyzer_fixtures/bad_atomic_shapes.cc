@@ -3,7 +3,9 @@
 // receiver shape that once escaped resolution: a global after a comment
 // whose text held a ';', subscripts holding operators, arrays of atomics,
 // lower-case atomic locals and references, an order given only to a nested
-// call, an `auto` range-for variable, and a lambda body.
+// call, an `auto` range-for variable, a lambda body, a member inherited by a
+// nested struct defined out of line, and an over-aligned brace-initialized
+// member.
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -47,5 +49,25 @@ class Shapes {
   std::vector<Load> loads_;
   Slab slab_;
 };
+
+struct EndpointBase {
+  std::atomic<bool> owner_busy{false};
+};
+
+class Wire {
+ public:
+  struct Socket;
+  void Drain(Socket* ep);
+};
+
+struct Wire::Socket : public EndpointBase {
+  alignas(64) int fd = -1;
+  alignas(64) std::atomic<bool> parked{false};
+};
+
+void Wire::Drain(Socket* ep) {
+  ep->owner_busy.store(true);  // planted: ZCPA004
+  ep->parked.store(true);  // planted: ZCPA004
+}
 
 }  // namespace fixture
