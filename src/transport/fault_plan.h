@@ -30,7 +30,6 @@ enum class MsgKind : uint8_t {
   kAcceptRequest,
   kAcceptReply,
   kCommitRequest,
-  kCommitReply,
   kEpochChangeRequest,
   kEpochChangeAck,
   kEpochChangeComplete,
@@ -55,7 +54,6 @@ inline MsgKind KindOf(const Payload& p) {
     MsgKind operator()(const AcceptRequest&) { return MsgKind::kAcceptRequest; }
     MsgKind operator()(const AcceptReply&) { return MsgKind::kAcceptReply; }
     MsgKind operator()(const CommitRequest&) { return MsgKind::kCommitRequest; }
-    MsgKind operator()(const CommitReply&) { return MsgKind::kCommitReply; }
     MsgKind operator()(const EpochChangeRequest&) { return MsgKind::kEpochChangeRequest; }
     MsgKind operator()(const EpochChangeAck&) { return MsgKind::kEpochChangeAck; }
     MsgKind operator()(const EpochChangeComplete&) { return MsgKind::kEpochChangeComplete; }

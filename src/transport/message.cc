@@ -11,7 +11,6 @@ const char* PayloadName(const Payload& p) {
     const char* operator()(const AcceptRequest&) { return "AcceptRequest"; }
     const char* operator()(const AcceptReply&) { return "AcceptReply"; }
     const char* operator()(const CommitRequest&) { return "CommitRequest"; }
-    const char* operator()(const CommitReply&) { return "CommitReply"; }
     const char* operator()(const EpochChangeRequest&) { return "EpochChangeRequest"; }
     const char* operator()(const EpochChangeAck&) { return "EpochChangeAck"; }
     const char* operator()(const EpochChangeComplete&) { return "EpochChangeComplete"; }

@@ -6,9 +6,9 @@
 // the loopback-UDP runtime (src/transport/udp_transport.h) serializes every
 // message through the codec in src/transport/serialization.h, so each
 // payload type must encode/decode bit-exactly — fixed-size ids, explicit
-// field order, no hidden pointers. Adding a payload type means extending the
-// codec (the serializer and the corpus tests fail the build/suite until it
-// is covered).
+// field order, no hidden pointers. Adding a payload type means adding its
+// Layout (its fields in wire order) in serialization.cc; the build fails
+// until it has one.
 
 #ifndef MEERKAT_SRC_TRANSPORT_MESSAGE_H_
 #define MEERKAT_SRC_TRANSPORT_MESSAGE_H_
@@ -76,8 +76,7 @@ struct ValidateRequest {
   // Watermark-GC piggyback (DESIGN.md §12): the oldest timestamp this
   // coordinator's client may still retransmit for. Everything strictly below
   // the fold of these stamps is safe to trim from the trecord. The zero
-  // timestamp means "no information" (old senders, tests) and never advances
-  // a watermark.
+  // timestamp means "no information" (tests) and never advances a watermark.
   Timestamp oldest_inflight;
 
   ValidateRequest() = default;
@@ -125,7 +124,7 @@ struct ValidateReply {
   uint64_t backoff_hint_ns = 0;
   // On kValidatedAbort: hash of the first read/write-set key whose check
   // failed (abort-reason fidelity + cache self-invalidation); 0 = unknown
-  // (duplicate re-reports, watermark answers, old senders).
+  // (duplicate re-reports, watermark answers).
   uint64_t conflict_hash = 0;
   // Recently-committed writes drained from the answering core's ring (client
   // cache invalidation; empty when the cache/hint machinery is off). Bounded
@@ -182,20 +181,10 @@ struct CommitRequest {
   // The transaction's commit timestamp, so a replica whose record was already
   // trimmed can recognize this as a duplicate of a long-decided write phase
   // (ts strictly below its watermark) and drop it instead of resurrecting a
-  // record. Zero = unknown (old senders): always processed.
+  // record. Zero = unknown: always processed.
   Timestamp ts;
   // Watermark-GC piggyback, same contract as ValidateRequest::oldest_inflight.
   Timestamp oldest_inflight;
-};
-
-// Acknowledged only where a caller needs the write phase flushed (tests).
-struct CommitReply {
-  TxnId tid;
-  ReplicaId from = 0;
-  // Same piggyback channel as ValidateReply::hints, for deployments that ack
-  // the write phase. No live protocol path sends CommitReply today, so in
-  // practice hints ride validation replies.
-  std::vector<WriteHint> hints;
 };
 
 // --- Epoch change (replica recovery, §5.3.1) ---
@@ -309,14 +298,15 @@ struct PutReply {
 // --- Timers ---
 
 // Delivered to a receiver after a delay it requested (retries, failure
-// detection). Carries an opaque id the receiver interprets.
+// detection). Carries an opaque id the receiver interprets. Local to the
+// endpoint that armed it: it never crosses the wire.
 struct TimerFire {
   uint64_t timer_id = 0;
 };
 
 using Payload =
     std::variant<GetRequest, GetReply, ValidateRequest, ValidateReply, AcceptRequest,
-                 AcceptReply, CommitRequest, CommitReply, EpochChangeRequest, EpochChangeAck,
+                 AcceptReply, CommitRequest, EpochChangeRequest, EpochChangeAck,
                  EpochChangeComplete, EpochChangeCompleteAck, CoordChangeRequest, CoordChangeAck,
                  PrimaryCommitRequest, ReplicateRequest, ReplicateReply, PrimaryCommitReply,
                  PutRequest, PutReply, TimerFire>;

@@ -1,6 +1,9 @@
 #include "src/transport/serialization.h"
 
-#include <cstring>
+#include <algorithm>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "src/common/annotations.h"
 
@@ -14,6 +17,329 @@ constexpr uint32_t kMaxLength = 64u << 20;
 // Hint lists are tiny by construction (CacheOptions::hints_per_reply, default
 // 8); a length prefix beyond this is hostile or corrupt.
 constexpr uint32_t kMaxWriteHints = 64;
+
+// Trecord snapshots and store versions, exchanged in epoch and coordinator
+// change.
+constexpr uint32_t kMaxRecords = 1u << 24;
+
+// Decode bounds per list element: the largest count accepted, and the most
+// elements reserved before any has been read, which caps what a hostile
+// count can make the decoder reserve.
+template <typename T>
+struct ListBounds;
+template <>
+struct ListBounds<ReadSetEntry> {
+  static constexpr uint32_t kMax = kMaxLength, kReserve = 1024;
+};
+template <>
+struct ListBounds<WriteSetEntry> : ListBounds<ReadSetEntry> {};
+template <>
+struct ListBounds<WriteHint> {
+  static constexpr uint32_t kMax = kMaxWriteHints, kReserve = kMaxWriteHints;
+};
+template <>
+struct ListBounds<TxnRecordSnapshot> {
+  static constexpr uint32_t kMax = kMaxRecords, kReserve = 0;
+};
+template <>
+struct ListBounds<Timestamp> : ListBounds<TxnRecordSnapshot> {};
+
+class Reader;
+
+// What a Layout walks: const when encoding or sizing, filled in place when
+// decoding.
+template <typename V, typename T>
+using Ref = std::conditional_t<std::is_same_v<V, Reader>, T&, const T&>;
+
+// --- Layouts: each record's and each payload's fields, in wire order -------
+//
+// The one definition of the format. Encoder (writing or sizing) and Reader
+// both walk these; a payload without a Layout fails the build.
+
+template <typename V>
+bool Layout(V& v, Ref<V, Timestamp> ts) {
+  return v(ts.time) && v(ts.client_id);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, TxnId> tid) {
+  return v(tid.client_id) && v(tid.seq);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, Address> a) {
+  return v.Enum(a.kind, Address::Kind::kReplica) && v(a.id);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, ReadSetEntry> r) {
+  return v(r.key) && v(r.read_wts);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, WriteSetEntry> w) {
+  return v(w.key) && v(w.value);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, WriteHint> h) {
+  return v(h.key_hash) && v(h.wts);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, TxnRecordSnapshot> s) {
+  return v(s.tid) && v(s.ts) && v.Enum(s.status, TxnStatus::kAborted) && v(s.view) &&
+         v(s.accept_view) && v(s.accepted) && v(s.core) && v(s.read_set) && v(s.write_set);
+}
+
+template <typename V>
+bool Layout(V& v, Ref<V, GetRequest> p) {
+  return v(p.tid) && v(p.req_seq) && v(p.key);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, GetReply> p) {
+  return v(p.tid) && v(p.req_seq) && v(p.key) && v(p.value) && v(p.wts) && v(p.found);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, ValidateRequest> p) {
+  return v(p.tid) && v(p.ts) && v(p.sets) && v(p.priority) && v(p.oldest_inflight);
+}
+// The one status that may carry the wire-only kRetryLater shed; record
+// snapshots never do.
+template <typename V>
+bool Layout(V& v, Ref<V, ValidateReply> p) {
+  return v(p.tid) && v.Enum(p.status, TxnStatus::kRetryLater) && v(p.from) && v(p.epoch) &&
+         v(p.backoff_hint_ns) && v(p.conflict_hash) && v(p.hints);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, AcceptRequest> p) {
+  return v(p.tid) && v(p.view) && v(p.commit) && v(p.ts) && v(p.sets);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, AcceptReply> p) {
+  return v(p.tid) && v(p.view) && v(p.ok) && v(p.from) && v(p.epoch);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, CommitRequest> p) {
+  return v(p.tid) && v(p.commit) && v(p.ts) && v(p.oldest_inflight);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, EpochChangeRequest> p) {
+  return v(p.epoch);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, EpochChangeAck> p) {
+  return v(p.epoch) && v(p.from) && v(p.recovering) && v(p.records) && v(p.store_state) &&
+         v(p.store_versions);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, EpochChangeComplete> p) {
+  return v(p.epoch) && v(p.records) && v(p.store_state) && v(p.store_versions);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, EpochChangeCompleteAck> p) {
+  return v(p.epoch) && v(p.from);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, CoordChangeRequest> p) {
+  return v(p.tid) && v(p.view);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, CoordChangeAck> p) {
+  return v(p.tid) && v(p.view) && v(p.ok) && v(p.has_record) && v(p.record) && v(p.from);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, PrimaryCommitRequest> p) {
+  return v(p.tid) && v(p.ts) && v(p.read_set) && v(p.write_set);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, ReplicateRequest> p) {
+  return v(p.tid) && v(p.ts) && v(p.log_index) && v(p.write_set);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, ReplicateReply> p) {
+  return v(p.tid) && v(p.from);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, PrimaryCommitReply> p) {
+  return v(p.tid) && v(p.committed) && v(p.commit_ts);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, PutRequest> p) {
+  return v(p.req_seq) && v(p.key) && v(p.value);
+}
+template <typename V>
+bool Layout(V& v, Ref<V, PutReply> p) {
+  return v(p.req_seq);
+}
+// Timers stay on their endpoint: a datagram carrying this tag is rejected.
+template <typename V>
+bool Layout(V& v, Ref<V, TimerFire>) {
+  return v.Reject();
+}
+
+// The frame: header, then the payload's variant index as its tag, then the
+// payload.
+template <typename V>
+bool Layout(V& v, Ref<V, Message> m) {
+  return v(m.src) && v(m.dst) && v(m.core) && v.Tagged(m.payload);
+}
+
+// --- Visitors ---------------------------------------------------------------
+
+// Counts the bytes a WireWriter would append.
+struct WireSizer {
+  size_t n = 0;
+
+  void U8(uint8_t) { n += 1; }
+  void U32(uint32_t) { n += 4; }
+  void U64(uint64_t) { n += 8; }
+  void Str(const std::string& s) { n += 4 + s.size(); }
+};
+
+// Walks a const value into a WireWriter, or into a WireSizer to measure it,
+// so EncodedMessageSize cannot drift from the encoding. Only Reject() returns
+// false, and encoding ignores it.
+template <typename Sink>
+class Encoder {
+ public:
+  explicit Encoder(Sink& sink) : w_(sink) {}
+
+  bool operator()(uint8_t v) { w_.U8(v); return true; }
+  bool operator()(uint32_t v) { w_.U32(v); return true; }
+  bool operator()(uint64_t v) { w_.U64(v); return true; }
+  bool operator()(bool v) { return Enum(v, true); }
+  bool operator()(const std::string& s) { w_.Str(s); return true; }
+  template <typename E>
+  bool Enum(E e, E /*max*/) {
+    return (*this)(static_cast<uint8_t>(e));
+  }
+  template <typename T>
+  bool operator()(const std::vector<T>& xs) {
+    w_.U32(static_cast<uint32_t>(xs.size()));
+    for (const T& x : xs) {
+      (*this)(x);
+    }
+    return true;
+  }
+  // The read set, then the write set; a null pointer encodes as empty sets.
+  bool operator()(const TxnSetsPtr& sets) {
+    return (*this)(sets ? sets->read_set : EmptyReadSet()) &&
+           (*this)(sets ? sets->write_set : EmptyWriteSet());
+  }
+  bool Tagged(const Payload& p) {
+    (*this)(static_cast<uint8_t>(p.index()));
+    return std::visit([this](const auto& alt) { return Layout(*this, alt); }, p);
+  }
+  bool Reject() { return false; }
+  template <typename R>
+  bool operator()(const R& record) {
+    return Layout(*this, record);
+  }
+
+ private:
+  Sink& w_;
+};
+
+// Walks a value being decoded, checking every field against the bytes left
+// and its bounds. Fails on the first short or out-of-range field.
+class Reader {
+ public:
+  Reader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
+
+  bool operator()(uint8_t& v) { return Int(v); }
+  bool operator()(uint32_t& v) { return Int(v); }
+  bool operator()(uint64_t& v) { return Int(v); }
+  bool operator()(bool& b) { return Enum(b, true); }
+  bool operator()(std::string& s) {
+    uint32_t len = 0;
+    const uint8_t* at = nullptr;
+    if (!Int(len) || len > kMaxLength || !Skip(len, &at)) {
+      return false;
+    }
+    s.assign(reinterpret_cast<const char*>(at), len);
+    return true;
+  }
+  template <typename E>
+  bool Enum(E& e, E max) {
+    uint8_t v = 0;
+    if (!Int(v) || v > static_cast<uint8_t>(max)) {
+      return false;
+    }
+    e = static_cast<E>(v);
+    return true;
+  }
+  template <typename T>
+  bool operator()(std::vector<T>& xs) {
+    uint32_t n = 0;
+    if (!Int(n) || n > ListBounds<T>::kMax) {
+      return false;
+    }
+    xs.clear();
+    xs.reserve(std::min(n, ListBounds<T>::kReserve));
+    for (uint32_t i = 0; i < n; i++) {
+      if (!(*this)(xs.emplace_back())) {
+        return false;
+      }
+    }
+    return true;
+  }
+  bool operator()(TxnSetsPtr& sets) {
+    std::vector<ReadSetEntry> reads;
+    std::vector<WriteSetEntry> writes;
+    if (!(*this)(reads) || !(*this)(writes)) {
+      return false;
+    }
+    sets = MakeTxnSets(std::move(reads), std::move(writes));
+    return true;
+  }
+  bool Tagged(Payload& p) {
+    uint8_t tag = 0;
+    return Int(tag) &&
+           Alternative(tag, p, std::make_index_sequence<std::variant_size_v<Payload>>{});
+  }
+  bool Reject() { return false; }
+  template <typename R>
+  bool operator()(R& record) {
+    return Layout(*this, record);
+  }
+
+  // Hands out the next n bytes and steps past them.
+  bool Skip(size_t n, const uint8_t** at) {
+    if (size_ - pos_ < n) {
+      return false;
+    }
+    *at = data_ + pos_;
+    pos_ += n;
+    return true;
+  }
+  bool AtEnd() const { return pos_ == size_; }
+
+ private:
+  template <typename T>
+  bool Int(T& v) {
+    const uint8_t* at = nullptr;
+    if (!Skip(sizeof(T), &at)) {
+      return false;
+    }
+    v = 0;
+    for (size_t i = 0; i < sizeof(T); i++) {
+      v = static_cast<T>(v | (static_cast<T>(at[i]) << (8 * i)));
+    }
+    return true;
+  }
+  // Decodes the payload alternative whose variant index is `tag`.
+  template <size_t... I>
+  bool Alternative(uint8_t tag, Payload& p, std::index_sequence<I...>) {
+    return ((tag == I && Layout(*this, p.emplace<I>())) || ...);
+  }
+
+  const uint8_t* data_;
+  size_t size_;
+  size_t pos_ = 0;
+};
+
+static_assert(std::variant_size_v<Payload> <= 256, "the payload tag is one byte");
+
+template <typename Sink>
+void Encode(Sink& sink, const Message& msg) {
+  Encoder<Sink> e(sink);
+  Layout(e, msg);
+}
 
 }  // namespace
 
@@ -34,591 +360,6 @@ void WireWriter::Str(const std::string& s) {
   out_->insert(out_->end(), s.begin(), s.end());
 }
 
-void WireWriter::Ts(const Timestamp& ts) {
-  U64(ts.time);
-  U32(ts.client_id);
-}
-
-void WireWriter::Tid(const TxnId& tid) {
-  U32(tid.client_id);
-  U64(tid.seq);
-}
-
-void WireWriter::ReadSet(const std::vector<ReadSetEntry>& reads) {
-  U32(static_cast<uint32_t>(reads.size()));
-  for (const ReadSetEntry& r : reads) {
-    Str(r.key);
-    Ts(r.read_wts);
-  }
-}
-
-void WireWriter::WriteSet(const std::vector<WriteSetEntry>& writes) {
-  U32(static_cast<uint32_t>(writes.size()));
-  for (const WriteSetEntry& w : writes) {
-    Str(w.key);
-    Str(w.value);
-  }
-}
-
-bool WireReader::Need(size_t n) {
-  if (failed_ || size_ - pos_ < n) {
-    failed_ = true;
-    return false;
-  }
-  return true;
-}
-
-bool WireReader::U8(uint8_t* v) {
-  if (!Need(1)) {
-    return false;
-  }
-  *v = data_[pos_++];
-  return true;
-}
-
-bool WireReader::U32(uint32_t* v) {
-  if (!Need(4)) {
-    return false;
-  }
-  *v = 0;
-  for (int i = 0; i < 4; i++) {
-    *v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-  }
-  return true;
-}
-
-bool WireReader::U64(uint64_t* v) {
-  if (!Need(8)) {
-    return false;
-  }
-  *v = 0;
-  for (int i = 0; i < 8; i++) {
-    *v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-  }
-  return true;
-}
-
-bool WireReader::Str(std::string* s) {
-  uint32_t len = 0;
-  if (!U32(&len) || len > kMaxLength || !Need(len)) {
-    failed_ = true;
-    return false;
-  }
-  s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-  pos_ += len;
-  return true;
-}
-
-bool WireReader::Ts(Timestamp* ts) { return U64(&ts->time) && U32(&ts->client_id); }
-
-bool WireReader::Tid(TxnId* tid) { return U32(&tid->client_id) && U64(&tid->seq); }
-
-bool WireReader::ReadSet(std::vector<ReadSetEntry>* reads) {
-  uint32_t n = 0;
-  if (!U32(&n) || n > kMaxLength) {
-    failed_ = true;
-    return false;
-  }
-  reads->clear();
-  reads->reserve(std::min<uint32_t>(n, 1024));
-  for (uint32_t i = 0; i < n; i++) {
-    ReadSetEntry entry;
-    if (!Str(&entry.key) || !Ts(&entry.read_wts)) {
-      return false;
-    }
-    reads->push_back(std::move(entry));
-  }
-  return true;
-}
-
-bool WireReader::WriteSet(std::vector<WriteSetEntry>* writes) {
-  uint32_t n = 0;
-  if (!U32(&n) || n > kMaxLength) {
-    failed_ = true;
-    return false;
-  }
-  writes->clear();
-  writes->reserve(std::min<uint32_t>(n, 1024));
-  for (uint32_t i = 0; i < n; i++) {
-    WriteSetEntry entry;
-    if (!Str(&entry.key) || !Str(&entry.value)) {
-      return false;
-    }
-    writes->push_back(std::move(entry));
-  }
-  return true;
-}
-
-namespace {
-
-template <typename Sink>
-void WriteAddress(Sink& w, const Address& a) {
-  w.U8(static_cast<uint8_t>(a.kind));
-  w.U32(a.id);
-}
-
-bool ReadAddress(WireReader& r, Address* a) {
-  uint8_t kind = 0;
-  if (!r.U8(&kind) || kind > 1) {
-    return false;
-  }
-  a->kind = static_cast<Address::Kind>(kind);
-  return r.U32(&a->id);
-}
-
-template <typename Sink>
-void WriteSnapshot(Sink& w, const TxnRecordSnapshot& s) {
-  w.Tid(s.tid);
-  w.Ts(s.ts);
-  w.U8(static_cast<uint8_t>(s.status));
-  w.U64(s.view);
-  w.U64(s.accept_view);
-  w.U8(s.accepted ? 1 : 0);
-  w.U32(s.core);
-  w.ReadSet(s.read_set);
-  w.WriteSet(s.write_set);
-}
-
-bool ReadSnapshot(WireReader& r, TxnRecordSnapshot* s) {
-  uint8_t status = 0;
-  uint8_t accepted = 0;
-  bool ok = r.Tid(&s->tid) && r.Ts(&s->ts) && r.U8(&status) && r.U64(&s->view) &&
-            r.U64(&s->accept_view) && r.U8(&accepted) && r.U32(&s->core) &&
-            r.ReadSet(&s->read_set) && r.WriteSet(&s->write_set);
-  if (!ok || status > static_cast<uint8_t>(TxnStatus::kAborted)) {
-    return false;
-  }
-  s->status = static_cast<TxnStatus>(status);
-  s->accepted = accepted != 0;
-  return true;
-}
-
-template <typename Sink>
-void WriteSnapshots(Sink& w, const std::vector<TxnRecordSnapshot>& snaps) {
-  w.U32(static_cast<uint32_t>(snaps.size()));
-  for (const TxnRecordSnapshot& s : snaps) {
-    WriteSnapshot(w, s);
-  }
-}
-
-bool ReadSnapshots(WireReader& r, std::vector<TxnRecordSnapshot>* snaps) {
-  uint32_t n = 0;
-  if (!r.U32(&n) || n > (1u << 24)) {
-    return false;
-  }
-  snaps->clear();
-  for (uint32_t i = 0; i < n; i++) {
-    TxnRecordSnapshot s;
-    if (!ReadSnapshot(r, &s)) {
-      return false;
-    }
-    snaps->push_back(std::move(s));
-  }
-  return true;
-}
-
-template <typename Sink>
-void WriteHints(Sink& w, const std::vector<WriteHint>& hints) {
-  w.U32(static_cast<uint32_t>(hints.size()));
-  for (const WriteHint& h : hints) {
-    w.U64(h.key_hash);
-    w.Ts(h.wts);
-  }
-}
-
-bool ReadHints(WireReader& r, std::vector<WriteHint>* hints) {
-  uint32_t n = 0;
-  if (!r.U32(&n) || n > kMaxWriteHints) {
-    return false;
-  }
-  hints->clear();
-  hints->reserve(n);
-  for (uint32_t i = 0; i < n; i++) {
-    WriteHint h;
-    if (!r.U64(&h.key_hash) || !r.Ts(&h.wts)) {
-      return false;
-    }
-    hints->push_back(h);
-  }
-  return true;
-}
-
-template <typename Sink>
-void WriteVersions(Sink& w, const std::vector<Timestamp>& versions) {
-  w.U32(static_cast<uint32_t>(versions.size()));
-  for (const Timestamp& ts : versions) {
-    w.Ts(ts);
-  }
-}
-
-bool ReadVersions(WireReader& r, std::vector<Timestamp>* versions) {
-  uint32_t n = 0;
-  if (!r.U32(&n) || n > (1u << 24)) {
-    return false;
-  }
-  versions->clear();
-  for (uint32_t i = 0; i < n; i++) {
-    Timestamp ts;
-    if (!r.Ts(&ts)) {
-      return false;
-    }
-    versions->push_back(ts);
-  }
-  return true;
-}
-
-template <typename Sink>
-struct PayloadEncoder {
-  Sink& w;
-
-  void operator()(const GetRequest& p) {
-    w.Tid(p.tid);
-    w.U64(p.req_seq);
-    w.Str(p.key);
-  }
-  void operator()(const GetReply& p) {
-    w.Tid(p.tid);
-    w.U64(p.req_seq);
-    w.Str(p.key);
-    w.Str(p.value);
-    w.Ts(p.wts);
-    w.U8(p.found ? 1 : 0);
-  }
-  void operator()(const ValidateRequest& p) {
-    w.Tid(p.tid);
-    w.Ts(p.ts);
-    w.ReadSet(p.read_set());
-    w.WriteSet(p.write_set());
-    w.U8(p.priority);
-    w.Ts(p.oldest_inflight);
-  }
-  void operator()(const ValidateReply& p) {
-    w.Tid(p.tid);
-    w.U8(static_cast<uint8_t>(p.status));
-    w.U32(p.from);
-    w.U64(p.epoch);
-    w.U64(p.backoff_hint_ns);
-    w.U64(p.conflict_hash);
-    WriteHints(w, p.hints);
-  }
-  void operator()(const AcceptRequest& p) {
-    w.Tid(p.tid);
-    w.U64(p.view);
-    w.U8(p.commit ? 1 : 0);
-    w.Ts(p.ts);
-    w.ReadSet(p.read_set());
-    w.WriteSet(p.write_set());
-  }
-  void operator()(const AcceptReply& p) {
-    w.Tid(p.tid);
-    w.U64(p.view);
-    w.U8(p.ok ? 1 : 0);
-    w.U32(p.from);
-    w.U64(p.epoch);
-  }
-  void operator()(const CommitRequest& p) {
-    w.Tid(p.tid);
-    w.U8(p.commit ? 1 : 0);
-    w.Ts(p.ts);
-    w.Ts(p.oldest_inflight);
-  }
-  void operator()(const CommitReply& p) {
-    w.Tid(p.tid);
-    w.U32(p.from);
-    WriteHints(w, p.hints);
-  }
-  void operator()(const EpochChangeRequest& p) { w.U64(p.epoch); }
-  void operator()(const EpochChangeAck& p) {
-    w.U64(p.epoch);
-    w.U32(p.from);
-    w.U8(p.recovering ? 1 : 0);
-    WriteSnapshots(w, p.records);
-    w.WriteSet(p.store_state);
-    WriteVersions(w, p.store_versions);
-  }
-  void operator()(const EpochChangeComplete& p) {
-    w.U64(p.epoch);
-    WriteSnapshots(w, p.records);
-    w.WriteSet(p.store_state);
-    WriteVersions(w, p.store_versions);
-  }
-  void operator()(const EpochChangeCompleteAck& p) {
-    w.U64(p.epoch);
-    w.U32(p.from);
-  }
-  void operator()(const CoordChangeRequest& p) {
-    w.Tid(p.tid);
-    w.U64(p.view);
-  }
-  void operator()(const CoordChangeAck& p) {
-    w.Tid(p.tid);
-    w.U64(p.view);
-    w.U8(p.ok ? 1 : 0);
-    w.U8(p.has_record ? 1 : 0);
-    WriteSnapshot(w, p.record);
-    w.U32(p.from);
-  }
-  void operator()(const PrimaryCommitRequest& p) {
-    w.Tid(p.tid);
-    w.Ts(p.ts);
-    w.ReadSet(p.read_set);
-    w.WriteSet(p.write_set);
-  }
-  void operator()(const ReplicateRequest& p) {
-    w.Tid(p.tid);
-    w.Ts(p.ts);
-    w.U64(p.log_index);
-    w.WriteSet(p.write_set);
-  }
-  void operator()(const ReplicateReply& p) {
-    w.Tid(p.tid);
-    w.U32(p.from);
-  }
-  void operator()(const PrimaryCommitReply& p) {
-    w.Tid(p.tid);
-    w.U8(p.committed ? 1 : 0);
-    w.Ts(p.commit_ts);
-  }
-  void operator()(const PutRequest& p) {
-    w.U64(p.req_seq);
-    w.Str(p.key);
-    w.Str(p.value);
-  }
-  void operator()(const PutReply& p) { w.U64(p.req_seq); }
-  void operator()(const TimerFire& p) { w.U64(p.timer_id); }
-};
-
-bool ReadBool(WireReader& r, bool* out) {
-  uint8_t v = 0;
-  if (!r.U8(&v) || v > 1) {
-    return false;
-  }
-  *out = v != 0;
-  return true;
-}
-
-bool ReadStatus(WireReader& r, TxnStatus* out) {
-  uint8_t v = 0;
-  if (!r.U8(&v) || v > static_cast<uint8_t>(TxnStatus::kAborted)) {
-    return false;
-  }
-  *out = static_cast<TxnStatus>(v);
-  return true;
-}
-
-// ValidateReply may additionally carry the wire-only kRetryLater shed status;
-// record snapshots (ReadStatus above) never do.
-bool ReadReplyStatus(WireReader& r, TxnStatus* out) {
-  uint8_t v = 0;
-  if (!r.U8(&v) || v > static_cast<uint8_t>(TxnStatus::kRetryLater)) {
-    return false;
-  }
-  *out = static_cast<TxnStatus>(v);
-  return true;
-}
-
-bool DecodePayload(WireReader& r, size_t tag, Payload* out) {
-  switch (tag) {
-    case 0: {
-      GetRequest p;
-      if (!r.Tid(&p.tid) || !r.U64(&p.req_seq) || !r.Str(&p.key)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 1: {
-      GetReply p;
-      if (!r.Tid(&p.tid) || !r.U64(&p.req_seq) || !r.Str(&p.key) || !r.Str(&p.value) ||
-          !r.Ts(&p.wts) || !ReadBool(r, &p.found)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 2: {
-      TxnId tid;
-      Timestamp ts;
-      std::vector<ReadSetEntry> read_set;
-      std::vector<WriteSetEntry> write_set;
-      uint8_t priority = 0;
-      Timestamp oldest_inflight;
-      if (!r.Tid(&tid) || !r.Ts(&ts) || !r.ReadSet(&read_set) || !r.WriteSet(&write_set) ||
-          !r.U8(&priority) || !r.Ts(&oldest_inflight)) {
-        return false;
-      }
-      ValidateRequest p{tid, ts, std::move(read_set), std::move(write_set)};
-      p.priority = priority;
-      p.oldest_inflight = oldest_inflight;
-      *out = std::move(p);
-      return true;
-    }
-    case 3: {
-      ValidateReply p;
-      if (!r.Tid(&p.tid) || !ReadReplyStatus(r, &p.status) || !r.U32(&p.from) ||
-          !r.U64(&p.epoch) || !r.U64(&p.backoff_hint_ns) || !r.U64(&p.conflict_hash) ||
-          !ReadHints(r, &p.hints)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 4: {
-      TxnId tid;
-      uint64_t view = 0;
-      bool commit = false;
-      Timestamp ts;
-      std::vector<ReadSetEntry> read_set;
-      std::vector<WriteSetEntry> write_set;
-      if (!r.Tid(&tid) || !r.U64(&view) || !ReadBool(r, &commit) || !r.Ts(&ts) ||
-          !r.ReadSet(&read_set) || !r.WriteSet(&write_set)) {
-        return false;
-      }
-      *out = AcceptRequest{tid, view, commit, ts, std::move(read_set), std::move(write_set)};
-      return true;
-    }
-    case 5: {
-      AcceptReply p;
-      if (!r.Tid(&p.tid) || !r.U64(&p.view) || !ReadBool(r, &p.ok) || !r.U32(&p.from) ||
-          !r.U64(&p.epoch)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 6: {
-      CommitRequest p;
-      if (!r.Tid(&p.tid) || !ReadBool(r, &p.commit) || !r.Ts(&p.ts) ||
-          !r.Ts(&p.oldest_inflight)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 7: {
-      CommitReply p;
-      if (!r.Tid(&p.tid) || !r.U32(&p.from) || !ReadHints(r, &p.hints)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 8: {
-      EpochChangeRequest p;
-      if (!r.U64(&p.epoch)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 9: {
-      EpochChangeAck p;
-      if (!r.U64(&p.epoch) || !r.U32(&p.from) || !ReadBool(r, &p.recovering) ||
-          !ReadSnapshots(r, &p.records) || !r.WriteSet(&p.store_state) ||
-          !ReadVersions(r, &p.store_versions)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 10: {
-      EpochChangeComplete p;
-      if (!r.U64(&p.epoch) || !ReadSnapshots(r, &p.records) || !r.WriteSet(&p.store_state) ||
-          !ReadVersions(r, &p.store_versions)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 11: {
-      EpochChangeCompleteAck p;
-      if (!r.U64(&p.epoch) || !r.U32(&p.from)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 12: {
-      CoordChangeRequest p;
-      if (!r.Tid(&p.tid) || !r.U64(&p.view)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 13: {
-      CoordChangeAck p;
-      if (!r.Tid(&p.tid) || !r.U64(&p.view) || !ReadBool(r, &p.ok) ||
-          !ReadBool(r, &p.has_record) || !ReadSnapshot(r, &p.record) || !r.U32(&p.from)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 14: {
-      PrimaryCommitRequest p;
-      if (!r.Tid(&p.tid) || !r.Ts(&p.ts) || !r.ReadSet(&p.read_set) ||
-          !r.WriteSet(&p.write_set)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 15: {
-      ReplicateRequest p;
-      if (!r.Tid(&p.tid) || !r.Ts(&p.ts) || !r.U64(&p.log_index) || !r.WriteSet(&p.write_set)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 16: {
-      ReplicateReply p;
-      if (!r.Tid(&p.tid) || !r.U32(&p.from)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 17: {
-      PrimaryCommitReply p;
-      if (!r.Tid(&p.tid) || !ReadBool(r, &p.committed) || !r.Ts(&p.commit_ts)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 18: {
-      PutRequest p;
-      if (!r.U64(&p.req_seq) || !r.Str(&p.key) || !r.Str(&p.value)) {
-        return false;
-      }
-      *out = std::move(p);
-      return true;
-    }
-    case 19: {
-      PutReply p;
-      if (!r.U64(&p.req_seq)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    case 20: {
-      TimerFire p;
-      if (!r.U64(&p.timer_id)) {
-        return false;
-      }
-      *out = p;
-      return true;
-    }
-    default:
-      return false;
-  }
-}
-
-}  // namespace
-
 std::vector<uint8_t> EncodeMessage(const Message& msg) {
   std::vector<uint8_t> out;
   EncodeMessageInto(msg, &out);
@@ -630,21 +371,13 @@ void EncodeMessageInto(const Message& msg, std::vector<uint8_t>* out) {
   // largest message, appending never allocates again.
   out->reserve(out->size() + EncodedMessageSize(msg));
   WireWriter w(out);
-  WriteAddress(w, msg.src);
-  WriteAddress(w, msg.dst);
-  w.U32(msg.core);
-  w.U8(static_cast<uint8_t>(msg.payload.index()));
-  std::visit(PayloadEncoder<WireWriter>{w}, msg.payload);
+  Encode(w, msg);
 }
 
 size_t EncodedMessageSize(const Message& msg) {
-  WireSizer w;
-  WriteAddress(w, msg.src);
-  WriteAddress(w, msg.dst);
-  w.U32(msg.core);
-  w.U8(0);
-  std::visit(PayloadEncoder<WireSizer>{w}, msg.payload);
-  return w.size();
+  WireSizer s;
+  Encode(s, msg);
+  return s.n;
 }
 
 bool DecodeMessage(const std::vector<uint8_t>& bytes, Message* out) {
@@ -652,17 +385,9 @@ bool DecodeMessage(const std::vector<uint8_t>& bytes, Message* out) {
 }
 
 bool DecodeMessage(const uint8_t* data, size_t size, Message* out) {
-  WireReader r(data, size);
-  uint8_t tag = 0;
-  if (!ReadAddress(r, &out->src) || !ReadAddress(r, &out->dst) || !r.U32(&out->core) ||
-      !r.U8(&tag)) {
-    return false;
-  }
-  if (!DecodePayload(r, tag, &out->payload)) {
-    return false;
-  }
   // Trailing garbage means the frame length disagrees with the contents.
-  return r.AtEnd() && !r.failed();
+  Reader r(data, size);
+  return Layout(r, *out) && r.AtEnd();
 }
 
 size_t EncodedBatchSize(const Message* const* msgs, size_t n) {
@@ -675,53 +400,41 @@ size_t EncodedBatchSize(const Message* const* msgs, size_t n) {
 
 ZCP_FAST_PATH void EncodeBatchInto(const Message* const* msgs, size_t n,
                                    std::vector<uint8_t>* out) {
+  // One size pass per sub-frame: the reservation. Each length prefix is
+  // written as a placeholder and patched once its sub-frame is in place.
   out->reserve(out->size() + EncodedBatchSize(msgs, n));
   WireWriter w(out);
   w.U8(kMsgBatchMarker);
   w.U32(static_cast<uint32_t>(n));
   for (size_t i = 0; i < n; i++) {
-    w.U32(static_cast<uint32_t>(EncodedMessageSize(*msgs[i])));
-    EncodeMessageInto(*msgs[i], out);
+    const size_t len_at = out->size();
+    w.U32(0);
+    Encode(w, *msgs[i]);
+    const size_t len = out->size() - len_at - 4;
+    for (size_t b = 0; b < 4; b++) {
+      (*out)[len_at + b] = static_cast<uint8_t>(len >> (8 * b));
+    }
   }
 }
 
 ZCP_FAST_PATH bool DecodeBatch(const uint8_t* data, size_t size, std::vector<Message>* out) {
   const size_t restore = out->size();
-  WireReader r(data, size);
+  Reader r(data, size);
   uint8_t marker = 0;
   uint32_t count = 0;
-  if (!r.U8(&marker) || marker != kMsgBatchMarker || !r.U32(&count) || count == 0 ||
-      count > kMaxBatchMessages) {
-    return false;
-  }
-  size_t pos = 1 + 4;
-  for (uint32_t i = 0; i < count; i++) {
+  bool ok = r(marker) && marker == kMsgBatchMarker && r(count) && count != 0 &&
+            count <= kMaxBatchMessages;
+  for (uint32_t i = 0; ok && i < count; i++) {
     // Length-prefixed sub-frame; the strict single-message decoder enforces
     // exact consumption, so a length that disagrees with the contents — or a
     // nested batch, whose marker byte is not a legal address kind — fails
     // here instead of shifting every later sub-frame.
-    if (size - pos < 4) {
-      out->resize(restore);
-      return false;
-    }
-    uint32_t len = static_cast<uint32_t>(data[pos]) |
-                   (static_cast<uint32_t>(data[pos + 1]) << 8) |
-                   (static_cast<uint32_t>(data[pos + 2]) << 16) |
-                   (static_cast<uint32_t>(data[pos + 3]) << 24);
-    pos += 4;
-    if (len == 0 || len > kMaxLength || size - pos < len) {
-      out->resize(restore);
-      return false;
-    }
-    Message msg;
-    if (!DecodeMessage(data + pos, len, &msg)) {
-      out->resize(restore);
-      return false;
-    }
-    pos += len;
-    out->push_back(std::move(msg));
+    uint32_t len = 0;
+    const uint8_t* frame = nullptr;
+    ok = r(len) && len != 0 && len <= kMaxLength && r.Skip(len, &frame) &&
+         DecodeMessage(frame, len, &out->emplace_back());
   }
-  if (pos != size) {  // Trailing garbage after the last sub-frame.
+  if (!ok || !r.AtEnd()) {  // AtEnd: no trailing garbage after the last sub-frame.
     out->resize(restore);
     return false;
   }

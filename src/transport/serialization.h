@@ -13,11 +13,16 @@
 //    regrows.
 //  - Decode is hardened against truncated and corrupt inputs: it must fail
 //    cleanly, never read past the buffer, and reject trailing garbage. Every
-//    payload type round-trips in the test suite and survives a
-//    truncation/bit-flip corruption corpus under ASan.
+//    wire payload type is pinned byte for byte and round-trips in the test
+//    suite, and every payload type survives a truncation/bit-flip corruption
+//    corpus under ASan and UBSan.
 //
 // Format: little-endian fixed-width integers; strings and vectors are
 // u32-length-prefixed; a Message is [src][dst][core][payload tag:u8][payload].
+// The tag is the payload's index in the Payload variant, and the payload's
+// fields follow in the order its Layout in serialization.cc lists them; the
+// encoder, the sizer and the decoder all walk that one list. TimerFire never
+// crosses the wire: it encodes no fields and the decoder rejects its tag.
 
 #ifndef MEERKAT_SRC_TRANSPORT_SERIALIZATION_H_
 #define MEERKAT_SRC_TRANSPORT_SERIALIZATION_H_
@@ -46,10 +51,6 @@ class WireWriter {
   void U32(uint32_t v);
   void U64(uint64_t v);
   void Str(const std::string& s);
-  void Ts(const Timestamp& ts);
-  void Tid(const TxnId& tid);
-  void ReadSet(const std::vector<ReadSetEntry>& reads);
-  void WriteSet(const std::vector<WriteSetEntry>& writes);
 
   // Drops the bytes written so far but keeps the buffer's capacity, so a
   // writer (or the external buffer behind it) can encode a stream of
@@ -63,65 +64,6 @@ class WireWriter {
  private:
   std::vector<uint8_t> own_;
   std::vector<uint8_t>* out_;
-};
-
-// Same field interface as WireWriter but only counts bytes. The payload
-// encoders are templated over the sink, so the size computation and the real
-// encoding share one definition per message type and cannot drift apart.
-class WireSizer {
- public:
-  void U8(uint8_t) { n_ += 1; }
-  void U32(uint32_t) { n_ += 4; }
-  void U64(uint64_t) { n_ += 8; }
-  void Str(const std::string& s) { n_ += 4 + s.size(); }
-  void Ts(const Timestamp&) { n_ += 12; }
-  void Tid(const TxnId&) { n_ += 12; }
-  void ReadSet(const std::vector<ReadSetEntry>& reads) {
-    n_ += 4;
-    for (const ReadSetEntry& r : reads) {
-      Str(r.key);
-      Ts(r.read_wts);
-    }
-  }
-  void WriteSet(const std::vector<WriteSetEntry>& writes) {
-    n_ += 4;
-    for (const WriteSetEntry& w : writes) {
-      Str(w.key);
-      Str(w.value);
-    }
-  }
-
-  size_t size() const { return n_; }
-
- private:
-  size_t n_ = 0;
-};
-
-class WireReader {
- public:
-  WireReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit WireReader(const std::vector<uint8_t>& data)
-      : WireReader(data.data(), data.size()) {}
-
-  bool U8(uint8_t* v);
-  bool U32(uint32_t* v);
-  bool U64(uint64_t* v);
-  bool Str(std::string* s);
-  bool Ts(Timestamp* ts);
-  bool Tid(TxnId* tid);
-  bool ReadSet(std::vector<ReadSetEntry>* reads);
-  bool WriteSet(std::vector<WriteSetEntry>* writes);
-
-  bool AtEnd() const { return pos_ == size_; }
-  bool failed() const { return failed_; }
-
- private:
-  bool Need(size_t n);
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-  bool failed_ = false;
 };
 
 // Serializes a complete message (addresses, core, payload tag, payload) into

@@ -159,7 +159,8 @@ bool SameWirePayload(const Payload& a, const Payload& b) {
   }
   if (const auto* va = std::get_if<ValidateRequest>(&a)) {
     const auto* vb = std::get_if<ValidateRequest>(&b);
-    return va->tid == vb->tid && va->ts == vb->ts && va->sets == vb->sets;
+    return va->tid == vb->tid && va->ts == vb->ts && va->sets == vb->sets &&
+           va->priority == vb->priority && va->oldest_inflight == vb->oldest_inflight;
   }
   if (const auto* aa = std::get_if<AcceptRequest>(&a)) {
     const auto* ab = std::get_if<AcceptRequest>(&b);
@@ -168,7 +169,8 @@ bool SameWirePayload(const Payload& a, const Payload& b) {
   }
   if (const auto* ca = std::get_if<CommitRequest>(&a)) {
     const auto* cb = std::get_if<CommitRequest>(&b);
-    return ca->tid == cb->tid && ca->commit == cb->commit;
+    return ca->tid == cb->tid && ca->commit == cb->commit && ca->ts == cb->ts &&
+           ca->oldest_inflight == cb->oldest_inflight;
   }
   if (const auto* ea = std::get_if<EpochChangeRequest>(&a)) {
     const auto* eb = std::get_if<EpochChangeRequest>(&b);

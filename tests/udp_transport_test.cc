@@ -18,6 +18,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
+#include <iterator>
 #include <mutex>
 #include <new>
 #include <set>
@@ -219,9 +221,10 @@ TEST_P(UdpModeTest, FanoutSharedPayloadPatchesDestination) {
   }
 }
 
-// A batch that is ALMOST wire-identical — same shared sets, different tids —
-// must not be collapsed by the encode-once path: every replica gets its own
-// transaction, not a copy of the first.
+// Batches that are ALMOST wire-identical — same shared sets, one field
+// different per sibling — must not be collapsed by the encode-once path:
+// every replica gets the payload sent to it, not a copy of the first
+// sibling's.
 TEST_P(UdpModeTest, FanoutWithDistinctTidsIsNotCollapsed) {
   UdpTransport t(Opts());
   RecordingReceiver receivers[3];
@@ -231,22 +234,44 @@ TEST_P(UdpModeTest, FanoutWithDistinctTidsIsNotCollapsed) {
 
   TxnSetsPtr sets = MakeTxnSets({ReadSetEntry{"rk", Timestamp{5, 1}}},
                                 {WriteSetEntry{"wk", "wv"}});
-  std::vector<Message> batch(3);
-  for (ReplicaId r = 0; r < 3; r++) {
-    batch[r].src = Address::Client(9);
-    batch[r].dst = Address::Replica(r);
-    batch[r].core = 0;
-    batch[r].payload = ValidateRequest{TxnId{9, 100 + r}, Timestamp{10, 1}, sets};
-  }
-  t.SendMany(batch.data(), batch.size());
+  const std::function<Payload(ReplicaId)> siblings[] = {
+      [&](ReplicaId r) -> Payload {
+        return ValidateRequest{TxnId{9, 100 + r}, Timestamp{10, 1}, sets};
+      },
+      [&](ReplicaId r) -> Payload {
+        ValidateRequest req{TxnId{9, 1}, Timestamp{10, 1}, sets};
+        req.priority = static_cast<uint8_t>(r);
+        return req;
+      },
+      [&](ReplicaId r) -> Payload {
+        ValidateRequest req{TxnId{9, 1}, Timestamp{10, 1}, sets};
+        req.oldest_inflight = Timestamp{5 + r, 1};
+        return req;
+      },
+      [](ReplicaId r) -> Payload {
+        return CommitRequest{TxnId{9, 1}, true, Timestamp{10 + r, 1}, Timestamp{}};
+      },
+      [](ReplicaId r) -> Payload {
+        return CommitRequest{TxnId{9, 1}, true, Timestamp{10, 1}, Timestamp{5 + r, 1}};
+      },
+  };
+  for (size_t c = 0; c < std::size(siblings); c++) {
+    std::vector<Message> batch(3);
+    for (ReplicaId r = 0; r < 3; r++) {
+      batch[r].src = Address::Client(9);
+      batch[r].dst = Address::Replica(r);
+      batch[r].core = 0;
+      batch[r].payload = siblings[c](r);
+    }
+    std::vector<Message> sent = batch;
+    t.SendMany(batch.data(), batch.size());
 
-  for (ReplicaId r = 0; r < 3; r++) {
-    ASSERT_TRUE(receivers[r].WaitForCount(1)) << "replica " << r;
-    std::lock_guard<std::mutex> lock(receivers[r].mu);
-    const auto* req = std::get_if<ValidateRequest>(&receivers[r].msgs[0].payload);
-    ASSERT_NE(req, nullptr);
-    EXPECT_EQ(req->tid, (TxnId{9, 100 + r}));
-    EXPECT_EQ(receivers[r].msgs[0].dst, Address::Replica(r));
+    for (ReplicaId r = 0; r < 3; r++) {
+      ASSERT_TRUE(receivers[r].WaitForCount(c + 1)) << "case " << c << " replica " << r;
+      std::lock_guard<std::mutex> lock(receivers[r].mu);
+      EXPECT_EQ(EncodeMessage(receivers[r].msgs[c]), EncodeMessage(sent[r]))
+          << "case " << c << ": replica " << r << " got another sibling's payload";
+    }
   }
 }
 
@@ -329,10 +354,25 @@ TEST_P(UdpModeTest, GarbageDatagramsFailDecodeCleanly) {
                        reinterpret_cast<sockaddr*>(&dst), sizeof(dst)),
               static_cast<ssize_t>(sizeof(garbage)));
   }
+  // A well-formed frame forging a timer: timers never cross the wire, so its
+  // tag must not decode.
+  WireWriter forged;
+  forged.U32(0);  // Steering word for core 0.
+  forged.U8(0);   // src: client 7
+  forged.U32(7);
+  forged.U8(1);   // dst: replica 0
+  forged.U32(0);
+  forged.U32(0);  // core
+  forged.U8(static_cast<uint8_t>(Payload(TimerFire{}).index()));
+  forged.U64(77);  // timer id
+  std::vector<uint8_t> timer = forged.Take();
+  ASSERT_EQ(::sendto(fd, timer.data(), timer.size(), 0, reinterpret_cast<sockaddr*>(&dst),
+                     sizeof(dst)),
+            static_cast<ssize_t>(timer.size()));
   ::close(fd);
   t.DrainForTesting();
   EXPECT_EQ(r.count.load(), 0u);
-  EXPECT_GE(SnapshotMetrics().CounterValue("udp.decode_failures"), decode_before + 5);
+  EXPECT_GE(SnapshotMetrics().CounterValue("udp.decode_failures"), decode_before + 6);
 }
 
 // The acceptance criterion for the wire path: once thread-local buffers are

@@ -64,6 +64,13 @@ or call edges — the one known soundness gap, shared with the guard-scope
 extraction, for immediately-invoked lambdas. Their atomic sites are still
 recorded.
 
+Calls: a call through a variable (`v(field)`, a visitor walking a record)
+is a call of its operator(). A name too common to follow repo-wide still
+reaches the candidates defined in the caller's own file, so an overload set
+such as the wire codec's Layout functions stays inside the closure. Calls
+through a template parameter reach every instantiation's candidates, so a
+chain may pass through a visitor that never makes the call.
+
 Baseline (--baseline): {"findings": [{"fp": <fingerprint>, "why": <reason>},
 ...]}. Every entry must carry a non-empty "why"; anything else is an error.
 Suppression: append `// zcp-analyzer: allow(ZCPAxxx) <reason>` to the
@@ -157,6 +164,10 @@ NOT_CALLS = {
     "reinterpret_cast", "decltype", "defined", "assert", "static_assert",
     "noexcept", "throw", "operator", "typeid", "co_await", "co_return",
 } | ANNOTATION_MACROS
+# Words that may precede a call expression without declaring anything: a
+# variable name after any other word is a declaration (`Reader r(data, n)`).
+CALL_KEYWORDS = {"return", "co_return", "co_yield", "throw", "else", "do",
+                 "case", "not", "and", "or"}
 
 GUARD_DECL_RE = re.compile(
     r"\b(LockGuard|MutexLock|RecursiveMutexLock|std::lock_guard|"
@@ -895,6 +906,14 @@ class InternalBackend:
             prev = body[m.start(1) - 1] if m.start(1) > 0 else ""
             if prev in ".>":
                 continue
+            if name in func.param_types or name in func.local_types:
+                # A call through a variable is a call of its operator(),
+                # unless a type precedes it and it is declared there.
+                before = re.search(r"(\w+|>)\s*$", body[:m.start(1)])
+                if before is None or before.group(1) in CALL_KEYWORDS:
+                    func.calls.append(Call("operator()", name,
+                                           line_at(m.start()), m.start()))
+                continue
             func.calls.append(Call(name, None, line_at(m.start()), m.start()))
 
         # Ops: allocation.
@@ -1230,7 +1249,13 @@ class Finding:
 def resolve_call(model, func, call):
     """Returns the list of Func candidates a call site may reach. Empty for
     external/library calls. Over-approximates on ambiguity, capped so a
-    common method name cannot fan the closure out to everything."""
+    common method name cannot fan the closure out to everything; past the
+    cap, the candidates defined in the caller's own file still count (an
+    overload set such as a codec's per-record Layout functions, or the
+    operator() overloads of the visitors that walk them)."""
+    def local(cands):
+        return [c for c in cands if c.file == func.file]
+
     name = call.name
     if "::" in name:
         cands = model.by_qual.get(name, [])
@@ -1244,7 +1269,7 @@ def resolve_call(model, func, call):
             if exact:
                 return exact
         cands = model.by_name.get(name, [])
-        return cands if len(cands) <= 3 else []
+        return cands if len(cands) <= 3 else local(cands)
     if func.cls:
         exact = model.by_qual.get(func.cls + "::" + name, [])
         if exact:
@@ -1252,7 +1277,7 @@ def resolve_call(model, func, call):
     cands = model.by_name.get(name, [])
     if len(cands) == 1:
         return cands
-    return cands if len(cands) <= 3 else []
+    return cands if len(cands) <= 3 else local(cands)
 
 
 OP_RULE = {"lock": "ZCPA001", "alloc": "ZCPA002",
@@ -1627,6 +1652,7 @@ def self_test(root):
         "bad_decl_marker.cc": {"ZCPA001"},
         "bad_transitive_alloc.cc": {"ZCPA002"},
         "bad_caps_method_alloc.cc": {"ZCPA002"},
+        "bad_transitive_visitor_alloc.cc": {"ZCPA002"},
         "bad_cross_partition.cc": {"ZCPA003"},
         "bad_implicit_seq_cst.cc": {"ZCPA004"},
         "bad_atomic_shapes.cc": {"ZCPA004"},
