@@ -25,7 +25,9 @@
 // slowdowns, same as bench_udp_loopback. The closed loop sends `width`
 // read-only single-key validates with distinct tids (shared TxnSetsPtr
 // payload), waits for all replies, then sends abort-COMMITs to clear the
-// readers registrations so the store never accumulates state.
+// readers registrations so the store never accumulates state. Timestamps come
+// from the steady clock the replica's GC reads, so every VALIDATE runs OCC
+// instead of being answered from the watermark.
 // Flags: --quick (shorter runs), --out=<path> (default BENCH_batch_pipeline.json).
 
 #include <atomic>
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/common/clock.h"
 #include "src/common/stats.h"
 #include "src/protocol/replica.h"
 #include "src/store/occ.h"
@@ -109,7 +112,8 @@ class PipelineBench {
 
   explicit PipelineBench(ThreadedTransport* transport)
       : transport_(transport),
-        replica_(0, QuorumConfig::ForReplicas(1), /*num_cores=*/1, transport) {
+        clock_(&time_source_),
+        replica_(0, QuorumConfig::ForReplicas(1), /*num_cores=*/1, transport, &time_source_) {
     transport_->RegisterClient(1, &rx_);
     std::vector<ReadSetEntry> reads = {{"bench-key", Timestamp{1, 0}}};
     replica_.LoadKey("bench-key", std::string(24, 'v'), Timestamp{1, 0});
@@ -118,8 +122,8 @@ class PipelineBench {
   }
 
   // One closed-loop iteration at `width`: width validates with fresh tids and
-  // monotonically increasing timestamps, wait for every reply, then width
-  // abort-COMMITs to clear the readers registrations.
+  // monotonically increasing clock timestamps, wait for every reply, then
+  // width abort-COMMITs to clear the readers registrations.
   bool Step(size_t width) {
     uint64_t base_seq = next_seq_;
     next_seq_ += width;
@@ -128,8 +132,7 @@ class PipelineBench {
       m.src = Address::Client(1);
       m.dst = Address::Replica(0);
       m.core = 0;
-      m.payload =
-          ValidateRequest{TxnId{1, base_seq + i}, Timestamp{1000 + base_seq + i, 1}, sets_};
+      m.payload = ValidateRequest{TxnId{1, base_seq + i}, Timestamp{clock_.Now(), 1}, sets_};
     }
     uint64_t target = rx_.validate_replies.load(std::memory_order_acquire) + width;
     transport_->SendMany(batch_.data(), width);
@@ -184,6 +187,8 @@ class PipelineBench {
   }
 
   ThreadedTransport* transport_;
+  SystemTimeSource time_source_;
+  LooselySyncedClock clock_;
   MeerkatReplica replica_;
   ValidateReplyCounter rx_;
   TxnSetsPtr sets_;

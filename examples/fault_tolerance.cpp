@@ -31,7 +31,8 @@ struct Cluster {
 
   Cluster() {
     for (ReplicaId r = 0; r < quorum.n; r++) {
-      replicas.push_back(std::make_unique<MeerkatReplica>(r, quorum, /*num_cores=*/2, &transport));
+      replicas.push_back(std::make_unique<MeerkatReplica>(r, quorum, /*num_cores=*/2, &transport,
+                                                          &time_source));
     }
   }
 };

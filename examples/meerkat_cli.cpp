@@ -39,7 +39,8 @@ class Cli {
  public:
   Cli() : quorum_(QuorumConfig::ForReplicas(3)) {
     for (ReplicaId r = 0; r < quorum_.n; r++) {
-      replicas_.push_back(std::make_unique<MeerkatReplica>(r, quorum_, 2, &transport_));
+      replicas_.push_back(
+          std::make_unique<MeerkatReplica>(r, quorum_, 2, &transport_, &time_source_));
     }
     SessionOptions options;
     options.quorum = quorum_;

@@ -1,5 +1,6 @@
 #include "src/api/system.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -59,19 +60,32 @@ SessionOptions MeerkatSessionOptions(const SystemOptions& options, Rng& session_
   return s;
 }
 
+// The deployment's GC settings with the horizon raised to cover the longest
+// a live transaction's message can trail the replica clock: one attempt
+// deadline plus the worst client clock offset (skew and jitter). Within that,
+// no message of a transaction inside its deadline is answered from W.
+GcOptions EffectiveGc(const SystemOptions& options) {
+  GcOptions gc = options.gc;
+  const uint64_t max_offset =
+      static_cast<uint64_t>(options.clock.max_skew_ns) + options.clock.jitter_ns;
+  gc.horizon_ns = std::max(gc.horizon_ns, options.retry.attempt_deadline_ns + max_offset);
+  return gc;
+}
+
 class MeerkatSystem : public System {
  public:
   MeerkatSystem(const SystemOptions& options, Transport* transport, TimeSource* time_source)
       : System(options.admission, options.cache), options_(options), transport_(transport),
         time_source_(time_source), session_rng_(0xc0ffee) {
     InstallFaultPlan(options, transport);
+    const GcOptions gc = EffectiveGc(options);
     // Shard s is the replica group [s*n, (s+1)*n).
     for (size_t shard = 0; shard < options.num_shards; shard++) {
       ReplicaId base = static_cast<ReplicaId>(shard * options.quorum.n);
       for (ReplicaId r = 0; r < options.quorum.n; r++) {
         replicas_.push_back(std::make_unique<MeerkatReplica>(
-            base + r, options.quorum, options.cores_per_replica, transport, base,
-            options.retry, options.overload, options.gc, options.cache));
+            base + r, options.quorum, options.cores_per_replica, transport, time_source, base,
+            options.retry, options.overload, gc, options.cache));
       }
     }
   }

@@ -101,8 +101,10 @@ struct SystemOptions {
   // which fresh VALIDATEs are fast-rejected with kRetryLater + backoff hint.
   OverloadOptions overload;
   // Replica-side trecord watermark GC (Meerkat kinds): per-core trimming of
-  // finalized records below the piggybacked oldest-inflight watermark.
-  // Enabled by default — without it the trecord grows without bound.
+  // finalized records below W = replica clock − gc.horizon_ns. CreateSystem
+  // raises the horizon to at least retry.attempt_deadline_ns plus the
+  // clocks' max skew and jitter. Enabled by default — without it the trecord
+  // grows without bound.
   GcOptions gc;
   // Inter-transaction client read cache with version leases (DESIGN.md §13):
   // one bounded cache shared by this System's sessions, plus replica-side
@@ -249,6 +251,8 @@ class System {
   }
 };
 
+// `time_source` is the one clock of the deployment: sessions stamp their
+// timestamps from it and Meerkat replicas derive their GC watermark from it.
 // Aborts with a message if options.num_shards is 0, or is not 1 for a kind
 // other than kMeerkat.
 std::unique_ptr<System> CreateSystem(const SystemOptions& options, Transport* transport,

@@ -6,13 +6,14 @@
 // prescribes the fix: "replicas bring themselves up-to-date and safely trim
 // the trecord"). The GC follows the zero-coordination principle end to end:
 //
-//   * Coordinators stamp their oldest-inflight timestamp on every VALIDATE
-//     and write-phase message — no extra round trips, just piggybacked bytes.
-//   * Each replica core folds the stamps it has seen into a per-core
-//     watermark (single-writer relaxed atomics, the CoreLoad discipline) and
-//     trims only finalized records of its OWN trecord partition strictly
-//     below it. No cross-core locks, no cross-replica agreement: a stale or
-//     lagging watermark only delays trimming, never makes it unsafe.
+//   * Each replica core derives its watermark from its own clock:
+//     W = now − horizon_ns, read from the System's TimeSource at every GC
+//     step. No client state, no wire bytes, no cross-replica agreement.
+//   * The core trims only finalized records of its OWN trecord partition
+//     strictly below W and publishes W through a single-writer relaxed
+//     atomic (the CoreLoad discipline). Clocks serve performance, never
+//     safety (paper §3): a message older than the horizon is answered from W
+//     with an abort vote or dropped, both of which the protocol tolerates.
 //   * Trimming runs from the DispatchBatch maintenance slot with a
 //     per-invocation scan budget, so a trim pass never stalls validation.
 //
@@ -40,20 +41,19 @@ struct GcOptions {
   // traffic waits behind a maintenance slot; the bucket cursor resumes where
   // the previous step left off, so coverage is complete across steps.
   size_t trim_budget = 128;
-  // Per-core client-mark table capacity (open-addressed, fixed size, no
-  // fast-path allocation). When full, marks from new clients are dropped —
-  // strictly conservative: the watermark advances more slowly, never wrongly.
-  size_t max_tracked_clients = 64;
-  // A non-final record this far (timestamp-time units, ns in every runtime)
-  // below the core watermark is orphaned — its coordinator stopped driving it
-  // long ago — and the watermark pass starts cooperative termination
-  // (paper §5.3.2) for it, which also releases the transaction's pending
-  // vstore reader/writer registrations. 0 disables the sweep.
+  // How far (timestamp-time units, ns in every runtime) the watermark trails
+  // the replica's clock: W = now − horizon_ns. A transaction's messages stay
+  // answerable from its record for at least this long after its timestamp;
+  // an older message for an absent record gets an abort vote (VALIDATE) or
+  // is dropped (COMMIT). CreateSystem raises it to at least the retry
+  // policy's attempt deadline plus the clocks' maximum skew and jitter, so no
+  // message of a transaction inside its deadline is ever answered from W.
+  uint64_t horizon_ns = 10'000'000;
+  // A non-final record this far below the core watermark is orphaned — its
+  // coordinator stopped driving it long ago — and the watermark pass starts
+  // cooperative termination (paper §5.3.2) for it, which also releases the
+  // transaction's pending vstore reader/writer registrations.
   uint64_t orphan_grace_ns = 500'000'000;
-  // Age (MetricsNowNanos domain) past which a client's mark stops holding the
-  // watermark back — a crashed client must not pin every core's watermark
-  // until the next epoch change. 0 disables aging (deterministic-sim runs).
-  uint64_t client_mark_ttl_ns = 0;
 
   GcOptions& WithEnabled(bool on) {
     enabled = on;
@@ -67,16 +67,12 @@ struct GcOptions {
     trim_budget = n;
     return *this;
   }
-  GcOptions& WithMaxTrackedClients(size_t n) {
-    max_tracked_clients = n;
+  GcOptions& WithHorizon(uint64_t ns) {
+    horizon_ns = ns;
     return *this;
   }
   GcOptions& WithOrphanGrace(uint64_t ns) {
     orphan_grace_ns = ns;
-    return *this;
-  }
-  GcOptions& WithClientMarkTtl(uint64_t ns) {
-    client_mark_ttl_ns = ns;
     return *this;
   }
 };

@@ -98,7 +98,6 @@ void CommitCoordinator::SendValidates(bool only_missing) {
     // Every copy of the fan-out shares sets_ (refcount bump, no deep copy).
     ValidateRequest req{tid_, ts_, sets_};
     req.priority = priority_;
-    req.oldest_inflight = oldest_inflight_;
     msg.payload = std::move(req);
     sent++;
     if (++k == kFanoutChunk) {
@@ -149,7 +148,7 @@ void CommitCoordinator::BroadcastFinal(bool commit) {
     msg.src = self_;
     msg.dst = Address::Replica(group_base_ + r);
     msg.core = core_;
-    msg.payload = CommitRequest{tid_, commit, ts_, oldest_inflight_};
+    msg.payload = CommitRequest{tid_, commit, ts_};
     if (++k == kFanoutChunk) {
       transport_->SendMany(batch, k);
       k = 0;
@@ -443,10 +442,8 @@ bool BackupCoordinator::OnMessage(const Message& msg) {
         out.src = self_;
         out.dst = Address::Replica(group_base_ + r);
         out.core = core_;
-        // A backup finishes on behalf of a dead coordinator: it knows the
-        // recovered ts (for trimmed-duplicate detection) but cannot speak for
-        // any client's inflight window, so it stamps no watermark.
-        out.payload = CommitRequest{tid_, proposal_commit_, ts_, Timestamp{}};
+        // The recovered ts rides along for trimmed-duplicate detection.
+        out.payload = CommitRequest{tid_, proposal_commit_, ts_};
         transport_->Send(std::move(out));
       }
       Finish(proposal_commit_ ? TxnResult::kCommit : TxnResult::kAbort);

@@ -59,7 +59,10 @@ class CommitCoordinator {
   // begins a fresh round, so owners keep coordinators in per-session slots
   // instead of allocating one per commit. Idle (done()) until the first
   // Start. A disabled RetryPolicy (timeout_ns == 0) never arms timers
-  // (appropriate for fault-free benchmark runs).
+  // (appropriate for fault-free benchmark runs). Nothing is sent for the
+  // replicas' GC: they trim against their own clock, and a message older
+  // than the GC horizon meets a watermark answer (DESIGN.md §12), which
+  // CreateSystem keeps beyond retry.attempt_deadline_ns.
   CommitCoordinator(Transport* transport, Address self, const QuorumConfig& quorum,
                     const RetryPolicy& retry);
 
@@ -82,12 +85,6 @@ class CommitCoordinator {
   // Overload-control priority stamped on every VALIDATE (TxnPlan::priority):
   // priority > 0 exempts this transaction from replica load shedding.
   void set_priority(uint8_t priority) { priority_ = priority; }
-
-  // Watermark-GC stamp (DESIGN.md §12) piggybacked on every VALIDATE and
-  // write-phase message: the oldest timestamp this client may still
-  // retransmit for. Sessions run one transaction at a time, so this is simply
-  // the current transaction's timestamp. Zero (the default) stamps nothing.
-  void set_oldest_inflight(Timestamp ts) { oldest_inflight_ = ts; }
 
   // Client read cache to feed piggybacked invalidation hints into
   // (DESIGN.md §13). Null (the default) drops the hints.
@@ -153,7 +150,6 @@ class CommitCoordinator {
   bool force_slow_path_ = false;
   ReplicaId group_base_ = 0;
   uint8_t priority_ = 0;
-  Timestamp oldest_inflight_;
   ClientCache* cache_ = nullptr;
   CommitOutcome outcome_;
 

@@ -30,17 +30,13 @@ const MetricId kShedHintNs = MetricsRegistry::Histogram("overload.shed_hint_ns")
 
 // Watermark GC (DESIGN.md §12): trim passes run from the maintenance slot,
 // passes whose budget ran out mid-partition, duplicates answered from the
-// watermark instead of a (trimmed) record, orphan recoveries the sweep
-// started, and marks dropped because a core's client table was full.
+// watermark instead of a (trimmed) record, and orphan recoveries the sweep
+// started.
 const MetricId kGcTrimPasses = MetricsRegistry::Counter("gc.trim_passes");
 const MetricId kGcBudgetExhausted = MetricsRegistry::Counter("gc.budget_exhausted");
 const MetricId kGcStaleValidates = MetricsRegistry::Counter("gc.stale_validates_answered");
 const MetricId kGcStaleCommits = MetricsRegistry::Counter("gc.stale_commits_dropped");
 const MetricId kGcOrphanRecoveries = MetricsRegistry::Counter("gc.orphan_recoveries");
-const MetricId kGcClientTableFull = MetricsRegistry::Counter("gc.client_table_full");
-// Gap between the freshest client mark a core holds and its published
-// watermark — how far behind the trimmer runs (timestamp-clock nanos).
-const MetricId kGcWatermarkLagNs = MetricsRegistry::Histogram("gc.watermark_lag_ns");
 
 // Fixed-point scale for CoreLoad::queue_ewma (alpha = 1/4 EWMA of the
 // drained-batch width; steady state ewma/kEwmaScale ≈ batch width).
@@ -86,20 +82,17 @@ void MeerkatReplica::EpochGate::UnlockExclusive() {
 }
 
 MeerkatReplica::MeerkatReplica(ReplicaId id, const QuorumConfig& quorum, size_t num_cores,
-                               Transport* transport, ReplicaId group_base,
+                               Transport* transport, TimeSource* clock, ReplicaId group_base,
                                RetryPolicy recovery_retry, OverloadOptions overload, GcOptions gc,
                                CacheOptions cache)
     : id_(id), quorum_(quorum), num_cores_(num_cores), group_base_(group_base),
       recovery_retry_(recovery_retry), overload_(overload), gc_(gc), cache_(cache),
-      transport_(transport),
+      transport_(transport), clock_(clock),
       trecord_(num_cores), scratch_(num_cores > 0 ? num_cores : 1),
       core_load_(num_cores > 0 ? num_cores : 1),
       core_gc_(num_cores > 0 ? num_cores : 1),
       core_recent_writes_(num_cores > 0 ? num_cores : 1),
       ec_rng_(0x9e3779b9u ^ id), hosted_backups_(num_cores) {
-  for (CoreGc& core_gc : core_gc_) {
-    core_gc.marks.resize(gc_.max_tracked_clients > 0 ? gc_.max_tracked_clients : 1);
-  }
   for (CoreRecentWrites& rw : core_recent_writes_) {
     rw.ring.reserve(cache_.hint_ring);  // Pushes never reallocate mid-path.
   }
@@ -167,7 +160,6 @@ ZCP_FAST_PATH NO_THREAD_SAFETY_ANALYSIS void MeerkatReplica::DispatchBatch(CoreI
   MetricRecordValue(kDispatchWidth, n);
   CoreScratch& scratch = scratch_[core % scratch_.size()];
   CoreLoad& load = core_load_[core % core_load_.size()];
-  CoreGc& gc = core_gc_[core % core_gc_.size()];
   if (overload_.enabled) {
     // Update the queue-depth proxy: EWMA (alpha=1/4) of drained-batch width.
     // Single writer (this core's worker), relaxed load/store.
@@ -242,9 +234,6 @@ ZCP_FAST_PATH NO_THREAD_SAFETY_ANALYSIS void MeerkatReplica::DispatchBatch(CoreI
         if (req == nullptr) {
           break;
         }
-        if (req->oldest_inflight.Valid()) {
-          NoteClientMark(gc, req->oldest_inflight);
-        }
         ValidateReply reply;
         reply.tid = req->tid;
         reply.from = id_;
@@ -279,14 +268,13 @@ ZCP_FAST_PATH NO_THREAD_SAFETY_ANALYSIS void MeerkatReplica::DispatchBatch(CoreI
           if (in_run) {
             break;
           }
-          if (existing == nullptr && req->ts.Valid() && req->ts < CoreWatermark(gc)) {
-            // Retransmitted VALIDATE for an already-trimmed transaction (the
-            // client finished it and moved its oldest-inflight mark past this
-            // timestamp). The record is gone, but an abort vote is always
-            // OCC-safe: a quorum either already decided (this reply is then
-            // ignored) or will abort, a permitted outcome of validation. No
-            // record is created, so the duplicate cannot resurrect trimmed
-            // state.
+          if (existing == nullptr && req->ts.Valid() && req->ts < core_watermark(core)) {
+            // VALIDATE older than the horizon with no record: a straggling
+            // duplicate of a trimmed transaction, or a message that outlived
+            // every deadline. An abort vote is always OCC-safe: a quorum
+            // either already decided (this reply is then ignored) or will
+            // abort, a permitted outcome of validation. No record is created,
+            // so the duplicate cannot resurrect trimmed state.
             reply.status = TxnStatus::kValidatedAbort;
             MetricIncr(kGcStaleValidates);
           } else if (req->priority == 0 && ShouldShed(load)) {
@@ -520,17 +508,15 @@ ZCP_FAST_PATH void MeerkatReplica::HandleAccept(CoreId core, const Address& from
 ZCP_FAST_PATH void MeerkatReplica::HandleCommit(CoreId core, const Address& /*from*/,
                                   const CommitRequest& req) {
   TRecordPartition& part = trecord_.Partition(core);
-  CoreGc& gc = core_gc_[core % core_gc_.size()];
-  if (req.oldest_inflight.Valid()) {
-    NoteClientMark(gc, req.oldest_inflight);
-  }
   TxnRecord* found = part.Find(req.tid);
-  if (found == nullptr && req.ts.Valid() && req.ts < CoreWatermark(gc)) {
-    // Duplicate write phase for an already-trimmed transaction. Dropping it
-    // is indistinguishable from message loss, which the protocol tolerates;
-    // the committed data lives in the store, not the trecord. Re-creating
-    // the record here is exactly what made trimmed records immortal (the
-    // unbounded-growth bug), so the absent+stale case must not GetOrCreate.
+  if (found == nullptr && req.ts.Valid() && req.ts < core_watermark(core)) {
+    // COMMIT older than the horizon with no record: a duplicate write phase
+    // for an already-trimmed transaction, or one that outlived every
+    // deadline. Dropping it is indistinguishable from message loss, which
+    // the protocol tolerates; the committed data lives in the store, not the
+    // trecord. Re-creating the record here is exactly what made trimmed
+    // records immortal (the unbounded-growth bug), so the absent+stale case
+    // must not GetOrCreate.
     MetricIncr(kGcStaleCommits);
     return;
   }
@@ -843,9 +829,6 @@ void MeerkatReplica::AdoptEpochState(EpochNum epoch,
     }
   }
   RecomputeLoadCounters();
-  // Watermarks and client marks predate the adopted trecord; restart GC from
-  // scratch so stale marks cannot trim records the merge just installed.
-  ResetGcState();
   epoch_change_.store(false, std::memory_order_release);
   waiting_recovery_.store(false, std::memory_order_release);
   MetricIncr(kEpochAdoptions);
@@ -870,62 +853,11 @@ void MeerkatReplica::RecomputeLoadCounters() {
   }
 }
 
-// Records a client's piggybacked oldest-inflight stamp. Open-addressed
-// linear probing keyed on the stamp's client id; the table belongs to the
-// owning core alone, so this is plain single-thread code on the fast path.
-ZCP_FAST_PATH void MeerkatReplica::NoteClientMark(CoreGc& gc, Timestamp stamp) {
-  const size_t cap = gc.marks.size();
-  const uint64_t ttl = gc_.client_mark_ttl_ns;
-  const uint64_t now = ttl != 0 ? MetricsNowNanos() : 0;
-  size_t slot = (stamp.client_id * 2654435761u) % cap;
-  // First TTL-expired slot seen while probing: the insert fallback when the
-  // client is new and no empty slot terminates its probe chain. Overwriting
-  // an expired entry mid-chain can briefly shadow a duplicate further along;
-  // the shadowed (older, lower) mark only holds the watermark back until it
-  // expires — conservative, never unsafe.
-  size_t reuse = cap;
-  for (size_t probes = 0; probes < cap; probes++) {
-    ClientMark& m = gc.marks[slot];
-    if (!m.mark.Valid()) {
-      m.mark = stamp;
-      m.seen_ns = now;
-      gc.tracked++;
-      return;
-    }
-    if (m.mark.client_id == stamp.client_id) {
-      m.mark = stamp;
-      m.seen_ns = now;
-      return;
-    }
-    if (reuse == cap && ttl != 0 && now - m.seen_ns > ttl) {
-      reuse = slot;
-    }
-    slot = slot + 1 == cap ? 0 : slot + 1;
-  }
-  if (reuse != cap) {
-    gc.marks[reuse].mark = stamp;
-    gc.marks[reuse].seen_ns = now;
-    return;
-  }
-  // Table full: drop the mark. Safe — an untracked client never advances the
-  // watermark past anyone, it just isn't protected from the other clients
-  // advancing it past *its* in-flight timestamps, which at worst turns its
-  // retransmissions into (always-permitted) abort votes. The counter flags
-  // an undersized max_tracked_clients.
-  MetricIncr(kGcClientTableFull);
-}
-
 ZCP_FAST_PATH void MeerkatReplica::MaybeRunGc(CoreId core) {
   if (!gc_.enabled || num_cores_ == 0) {
     return;
   }
   CoreGc& gc = core_gc_[core % core_gc_.size()];
-  uint64_t gen = gc.reset_gen.load(std::memory_order_acquire);
-  if (gen != gc.seen_reset_gen) {
-    gc.seen_reset_gen = gen;
-    SelfResetGc(gc);  // Epoch adoption / restart: drop pre-reset marks.
-    return;
-  }
   if (++gc.dispatches < gc_.interval_dispatches) {
     return;
   }
@@ -934,53 +866,27 @@ ZCP_FAST_PATH void MeerkatReplica::MaybeRunGc(CoreId core) {
 }
 
 ZCP_SLOW_PATH void MeerkatReplica::RunGcStep(CoreId core, CoreGc& gc) {
-  // Fold the live client marks into a watermark candidate: the min over the
-  // marks is the oldest timestamp any tracked client may still retransmit.
-  Timestamp min_mark;
-  Timestamp max_mark;
-  bool any = false;
-  const uint64_t ttl = gc_.client_mark_ttl_ns;
-  const uint64_t now = ttl != 0 ? MetricsNowNanos() : 0;
-  for (const ClientMark& m : gc.marks) {
-    if (!m.mark.Valid()) {
-      continue;
-    }
-    if (ttl != 0 && now - m.seen_ns > ttl) {
-      continue;  // Crashed or idle client: its stale mark must not pin W.
-    }
-    if (!any || m.mark < min_mark) {
-      min_mark = m.mark;
-    }
-    if (!any || max_mark < m.mark) {
-      max_mark = m.mark;
-    }
-    any = true;
+  // The watermark trails this replica's clock by the horizon, so only a
+  // message older than the horizon can meet it (DESIGN.md §12). Publish
+  // monotonically — records below W are already gone, so a clock read that
+  // steps back must not lower it.
+  const uint64_t now = clock_->NowNanos();
+  uint64_t w = gc.watermark_time.load(std::memory_order_relaxed);
+  if (now > gc_.horizon_ns && now - gc_.horizon_ns > w) {
+    w = now - gc_.horizon_ns;
+    gc.watermark_time.store(w, std::memory_order_relaxed);
   }
-
-  // Publish monotonically: once duplicates are answered from W, a regressed
-  // mark (message reordering, a newly tracked slow client) must not lower it
-  // — records below W are already gone. W only resets with the trecord
-  // itself (epoch adoption, crash-restart).
-  Timestamp wm = CoreWatermark(gc);
-  if (any && wm < min_mark) {
-    gc.watermark_time.store(min_mark.time, std::memory_order_relaxed);
-    gc.watermark_client.store(min_mark.client_id, std::memory_order_relaxed);
-    wm = min_mark;
+  if (w == 0) {
+    return;  // The clock has not run one horizon past its origin yet.
   }
-  if (any) {
-    MetricRecordValue(kGcWatermarkLagNs,
-                      max_mark.time > wm.time ? max_mark.time - wm.time : 0);
-  }
-  if (!wm.Valid()) {
-    return;  // No client information yet: nothing is provably finished.
-  }
+  const Timestamp wm{w, 0};
 
   // Non-final records stuck more than orphan_grace_ns below the watermark
-  // have a dead coordinator with high probability: every live client has
-  // moved past them, yet no COMMIT/ABORT arrived.
+  // have a dead coordinator with high probability: their deadline passed
+  // long ago, yet no COMMIT/ABORT arrived.
   Timestamp orphan_below;
-  if (gc_.orphan_grace_ns < wm.time) {
-    orphan_below = Timestamp{wm.time - gc_.orphan_grace_ns, 0};
+  if (gc_.orphan_grace_ns < w) {
+    orphan_below = Timestamp{w - gc_.orphan_grace_ns, 0};
   }
 
   gc.orphans.clear();
@@ -1069,33 +975,6 @@ ZCP_SLOW_PATH size_t MeerkatReplica::StartOrphanRecoveries(
   return started;
 }
 
-void MeerkatReplica::ResetGcState() {
-  // Runs on the epoch-change/restart thread while other cores may be mid-
-  // dispatch: only the atomics are touched here; each core's plain fields
-  // are reset by the core itself when it observes the reset_gen bump
-  // (MaybeRunGc). Clearing W immediately is fine — a racing core's fold can
-  // at worst re-publish a W derived from pre-reset client marks, which are
-  // still truthful lower bounds on what those clients may retransmit.
-  for (CoreGc& gc : core_gc_) {
-    gc.watermark_time.store(0, std::memory_order_relaxed);
-    gc.watermark_client.store(0, std::memory_order_relaxed);
-    gc.reset_gen.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void MeerkatReplica::SelfResetGc(CoreGc& gc) {
-  for (ClientMark& m : gc.marks) {
-    m = ClientMark{};
-  }
-  gc.tracked = 0;
-  gc.cursor = 0;
-  gc.dispatches = 0;
-  for (CoreGc::RecentOrphan& r : gc.recent_orphans) {
-    r = CoreGc::RecentOrphan{};
-  }
-  gc.recent_next = 0;
-}
-
 ZCP_SLOW_PATH void MeerkatReplica::HandleHostedBackupReply(CoreId core, const Message& msg) {
   TxnId tid;
   if (const auto* ack = std::get_if<CoordChangeAck>(&msg.payload)) {
@@ -1162,7 +1041,6 @@ void MeerkatReplica::CrashAndRestart() {
     load.inflight.store(0, std::memory_order_relaxed);
     load.queue_ewma.store(0, std::memory_order_relaxed);
   }
-  ResetGcState();  // GC state is volatile like everything else here.
   waiting_recovery_.store(true, std::memory_order_release);
   gate_.UnlockExclusive();
   {

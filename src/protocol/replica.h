@@ -23,6 +23,7 @@
 
 #include "src/common/annotations.h"
 #include "src/common/client_cache.h"
+#include "src/common/clock.h"
 #include "src/common/dap_check.h"
 #include "src/common/gc.h"
 #include "src/common/overload.h"
@@ -55,11 +56,15 @@ class MeerkatReplica {
   // with kRetryLater instead of running OCC. The signals are per-core
   // relaxed counters only — shedding adds no cross-core coordination.
   //
+  // `clock` is the TimeSource the deployment's client timestamps come from
+  // (the System's; not owned). Each core reads it at every GC step to derive
+  // its watermark W = now − gc.horizon_ns, so a replica built on a clock its
+  // traffic is not stamped in answers that traffic from W.
+  //
   // `gc` configures the online trecord watermark GC (enabled by default):
-  // each core folds the oldest-inflight stamps piggybacked on client traffic
-  // into a per-core watermark and incrementally trims finalized records of
-  // its own partition below it (DESIGN.md §12). Like shedding, GC state is
-  // per-core with relaxed single-writer atomics only.
+  // each core incrementally trims finalized records of its own partition
+  // strictly below its clock-derived watermark (DESIGN.md §12). Like
+  // shedding, GC state is per-core with relaxed single-writer atomics only.
   //
   // `cache` configures the replica-side half of the client read cache
   // (DESIGN.md §13): when enabled with hint_ring > 0, each core remembers its
@@ -68,7 +73,7 @@ class MeerkatReplica {
   // The ring is plain per-core state (pushed and drained only by the owning
   // core's worker) — no cross-core coordination.
   MeerkatReplica(ReplicaId id, const QuorumConfig& quorum, size_t num_cores,
-                 Transport* transport, ReplicaId group_base = 0,
+                 Transport* transport, TimeSource* clock, ReplicaId group_base = 0,
                  RetryPolicy recovery_retry = RetryPolicy(),
                  OverloadOptions overload = OverloadOptions(), GcOptions gc = GcOptions(),
                  CacheOptions cache = CacheOptions());
@@ -147,13 +152,12 @@ class MeerkatReplica {
     return n;
   }
 
-  // The GC watermark `core` currently trims below. Relaxed reads of the two
-  // halves: exact on the owning core, possibly torn elsewhere — observability
-  // only, like core_inflight.
+  // The GC watermark `core` trims below and answers stale messages from
+  // (invalid until the core's first GC step past the horizon). Relaxed read:
+  // exact on the owning core, possibly stale elsewhere (observability).
   Timestamp core_watermark(CoreId core) const {
-    const CoreGc& gc = core_gc_[core % core_gc_.size()];
-    return Timestamp{gc.watermark_time.load(std::memory_order_relaxed),
-                     gc.watermark_client.load(std::memory_order_relaxed)};
+    return Timestamp{
+        core_gc_[core % core_gc_.size()].watermark_time.load(std::memory_order_relaxed), 0};
   }
   uint64_t gc_trim_passes() const {
     uint64_t n = 0;
@@ -183,25 +187,13 @@ class MeerkatReplica {
   // CoreLoad. The published watermark is single-writer (the owning core's
   // worker) with relaxed atomics; everything else is plain state only ever
   // touched by the owning core, so GC adds no cross-core coordination.
-  struct ClientMark {
-    // Latest oldest-inflight stamp received from mark.client_id; a zero
-    // (invalid) timestamp marks an empty slot.
-    Timestamp mark;
-    // MetricsNowNanos stamp of the last update, for TTL aging (0 = never).
-    uint64_t seen_ns = 0;
-  };
   struct alignas(64) CoreGc {
-    // Published watermark (two halves of a Timestamp). Monotonically
-    // non-decreasing within an epoch: once records below W are trimmed,
-    // duplicates must keep being answered from W even if client marks
-    // regress through message reordering.
+    // Published watermark time (W = Timestamp{watermark_time, 0}; 0 = none
+    // yet). Monotonically non-decreasing: once records below W are trimmed,
+    // duplicates must keep being answered from W even if the clock steps
+    // back.
     std::atomic<uint64_t> watermark_time{0};
-    std::atomic<uint32_t> watermark_client{0};
     std::atomic<uint64_t> trim_passes{0};
-    // Open-addressed fixed-capacity table of per-client marks (linear
-    // probing keyed on mark.client_id; sized once in the constructor).
-    std::vector<ClientMark> marks;
-    size_t tracked = 0;
     // TrimStep bucket cursor into this core's trecord partition.
     size_t cursor = 0;
     // Dispatches since the last GC step (interval gate).
@@ -221,25 +213,14 @@ class MeerkatReplica {
     };
     std::array<RecentOrphan, 8> recent_orphans{};
     size_t recent_next = 0;
-    // Epoch/crash reset handshake. ResetGcState runs on whichever thread
-    // drives the epoch change (or the restart), so it must not touch the
-    // plain single-writer fields above: it clears the watermark atomics and
-    // bumps reset_gen; the owning core notices the bump at its next GC
-    // check and resets its own plain state. Deferring is safe because the
-    // watermark invariant (W <= every live client's oldest-inflight mark)
-    // is client-driven and survives epochs: an undecided transaction's ts
-    // is >= its own client's mark >= W, so the stale-answer branches can
-    // never fire for it in the window.
-    std::atomic<uint64_t> reset_gen{0};
-    uint64_t seen_reset_gen = 0;
   };
   static constexpr uint64_t kOrphanRetryCooldownPasses = 64;
 
   // Per-core recent-writes ring feeding client-cache invalidation hints
   // (DESIGN.md §13). Plain fields, no atomics: pushes (HandleCommit) and
   // drains (validate-reply hint attachment) both run on the owning core's
-  // worker thread — single writer AND single reader, like CoreGc's mark
-  // table. Draining is non-destructive (a copy of the newest entries), so a
+  // worker thread — single writer AND single reader, like CoreGc's plain
+  // fields. Draining is non-destructive (a copy of the newest entries), so a
   // write is advertised to every client that validates within the ring's
   // lifetime, not just the first.
   struct alignas(64) CoreRecentWrites {
@@ -331,19 +312,10 @@ class MeerkatReplica {
   void RecomputeLoadCounters() REQUIRES(gate_);
 
   // --- Watermark GC (DESIGN.md §12) ---------------------------------------
-  // Records a client's piggybacked oldest-inflight stamp in this core's mark
-  // table (single-core state; called from the validate/commit handlers).
-  void NoteClientMark(CoreGc& gc, Timestamp stamp);
-  // The watermark this core currently answers duplicates from (exact: only
-  // the owning core calls this).
-  Timestamp CoreWatermark(const CoreGc& gc) const {
-    return Timestamp{gc.watermark_time.load(std::memory_order_relaxed),
-                     gc.watermark_client.load(std::memory_order_relaxed)};
-  }
   // Interval gate called at the end of every DispatchBatch; runs RunGcStep
   // every gc_.interval_dispatches batches.
   void MaybeRunGc(CoreId core);
-  // One budgeted GC step: fold the mark table into the published watermark,
+  // One budgeted GC step: advance the published watermark to now − horizon,
   // trim a slice of this core's partition under the shared epoch gate, and
   // start backup coordinators for orphans stuck below the grace threshold.
   void RunGcStep(CoreId core, CoreGc& gc);
@@ -351,12 +323,6 @@ class MeerkatReplica {
   // recovered; shared by RunGcStep's orphan sweep and
   // RecoverOrphanedTransactions. Returns the number started.
   size_t StartOrphanRecoveries(CoreId core, const std::vector<std::pair<TxnId, ViewNum>>& orphans);
-  // Clears every core's marks, cursor and published watermark. Recovery
-  // paths only (epoch adoption, crash-restart): marks predating the new
-  // epoch's trecord state must not trim it.
-  void ResetGcState();
-  // Owning-core half of the reset handshake (see CoreGc::reset_gen).
-  void SelfResetGc(CoreGc& gc);
 
   void HandleHostedBackupReply(CoreId core, const Message& msg);
   void HandleEpochChangeRequest(const Address& from, const EpochChangeRequest& req);
@@ -390,6 +356,7 @@ class MeerkatReplica {
   const GcOptions gc_;
   const CacheOptions cache_;
   Transport* const transport_;
+  TimeSource* const clock_;
 
   VStore store_;
   TRecord trecord_;

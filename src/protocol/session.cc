@@ -155,9 +155,6 @@ void MeerkatSession::StartCommit() {
     ShardSlot& slot = shards_[shard];
     CommitCoordinator& coordinator = *slot.coordinator;
     coordinator.set_priority(plan_.priority);
-    // Watermark-GC stamp: this session runs one transaction at a time, so its
-    // oldest possibly-retransmitted timestamp is exactly the one it proposes.
-    coordinator.set_oldest_inflight(last_ts_);
     coordinator.Start(core_, last_tid_, last_ts_, std::move(slot.reads), std::move(slot.writes),
                       kCoordTimerBase + (txn_seq_ * shards_.size() + shard) * 4);
     slot.reads.clear();  // Moved-from: empty them for the next partition.

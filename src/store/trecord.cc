@@ -78,24 +78,6 @@ ZCP_FAST_PATH void TRecordPartition::Erase(const TxnId& tid) {
   }
 }
 
-size_t TRecordPartition::TrimFinalized(Timestamp watermark) {
-  dap_slot_.CheckAccess(dap_index_, dap_count_, "TRecordPartition::TrimFinalized");
-  size_t trimmed = 0;
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (IsFinal(it->second.status) && it->second.ts <= watermark) {
-      it = records_.erase(it);
-      trimmed++;
-    } else {
-      ++it;
-    }
-  }
-  if (trimmed > 0) {
-    MetricIncr(kRecordsTrimmed, trimmed);
-    MetricGaugeAdd(kLiveRecords, -static_cast<int64_t>(trimmed));
-  }
-  return trimmed;
-}
-
 ZCP_SLOW_PATH TRecordPartition::TrimStepResult TRecordPartition::TrimStep(
     Timestamp below, size_t budget, size_t* cursor, Timestamp orphan_below,
     std::vector<std::pair<TxnId, ViewNum>>* orphans) {
@@ -186,17 +168,6 @@ void TRecord::ReplaceAll(const std::vector<TxnRecordSnapshot>& snapshots) {
     TRecordPartition& p = Partition(snap.core);
     p.GetOrCreate(snap.tid) = TxnRecord::FromSnapshot(snap);
   }
-}
-
-size_t TRecord::TrimFinalizedAll(Timestamp watermark) {
-  // Bulk trim is for quiesced maintenance windows (see header); the per-core
-  // TrimFinalized keeps its DAP check for steady-state use.
-  DapAuditSuspend suspend;
-  size_t trimmed = 0;
-  for (TRecordPartition& p : partitions_) {
-    trimmed += p.TrimFinalized(watermark);
-  }
-  return trimmed;
 }
 
 size_t TRecord::TotalSize() const {

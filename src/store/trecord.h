@@ -54,8 +54,8 @@ struct TxnRecord {
 // (src/common/dap_check.h) audits exactly that claim: the per-record
 // accessors below check the caller's core scope / owning thread and report a
 // violation on cross-core access. Bulk maintenance entry points (Clear,
-// TRecord::ReplaceAll, TRecord::TrimFinalizedAll) reset the ownership stamp
-// instead — recovery legitimately rebuilds partitions from one thread.
+// TRecord::ReplaceAll) reset the ownership stamp instead — recovery
+// legitimately rebuilds partitions from one thread.
 class TRecordPartition {
  public:
   // Returns the record for tid, creating it if absent.
@@ -67,15 +67,12 @@ class TRecordPartition {
   // Removes a finalized record (checkpoint trimming).
   void Erase(const TxnId& tid);
 
-  // Drops every record with a final status (COMMITTED/ABORTED) whose
-  // timestamp is at or below `watermark`. Returns the number trimmed. Safe
-  // because finalized records are only consulted to answer duplicate
+  // One budgeted increment of the online watermark GC (DESIGN.md §12), the
+  // only way records leave a partition besides Erase and Clear. Trimming is
+  // safe because finalized records are only consulted to answer duplicate
   // messages; the epoch-change protocol re-establishes authoritative state
   // whenever membership changes (paper §5.3.1: "allowing the replicas to
   // bring themselves up-to-date and safely trim the trecord").
-  size_t TrimFinalized(Timestamp watermark);
-
-  // One budgeted increment of the online watermark GC (DESIGN.md §12).
   struct TrimStepResult {
     size_t trimmed = 0;  // Finalized records erased this step.
     size_t scanned = 0;  // Records examined (trimmed or not).
@@ -83,8 +80,7 @@ class TRecordPartition {
   };
 
   // Scans at most `budget` records starting at bucket `*cursor`, erasing
-  // finalized records with ts strictly below `below` (strict: a record AT the
-  // watermark may still be the stamping client's own inflight transaction).
+  // finalized records with ts strictly below `below`.
   // `*cursor` advances to where the next step should resume; a rehash since
   // the last step (insert-driven growth — erase never rehashes) resets it.
   //
@@ -135,11 +131,6 @@ class TRecord {
   // Replaces all partitions with the merged trecord from an epoch change,
   // preserving the per-core partitioning carried in each snapshot.
   void ReplaceAll(const std::vector<TxnRecordSnapshot>& snapshots);
-
-  // Checkpoint: trims finalized records older than `watermark` in every
-  // partition. Each core can equivalently trim its own partition; this bulk
-  // form is for quiesced maintenance windows.
-  size_t TrimFinalizedAll(Timestamp watermark);
 
   size_t TotalSize() const;
 

@@ -73,11 +73,6 @@ struct ValidateRequest {
   // transaction from replica load shedding (priority aging: a repeatedly-
   // aborted transaction must not starve behind fresh arrivals).
   uint8_t priority = 0;
-  // Watermark-GC piggyback (DESIGN.md §12): the oldest timestamp this
-  // coordinator's client may still retransmit for. Everything strictly below
-  // the fold of these stamps is safe to trim from the trecord. The zero
-  // timestamp means "no information" (tests) and never advances a watermark.
-  Timestamp oldest_inflight;
 
   ValidateRequest() = default;
   ValidateRequest(TxnId tid_in, Timestamp ts_in, TxnSetsPtr sets_in)
@@ -180,11 +175,9 @@ struct CommitRequest {
   bool commit = false;  // True: install writes; false: abort cleanup.
   // The transaction's commit timestamp, so a replica whose record was already
   // trimmed can recognize this as a duplicate of a long-decided write phase
-  // (ts strictly below its watermark) and drop it instead of resurrecting a
-  // record. Zero = unknown: always processed.
+  // (ts strictly below its clock-derived watermark, DESIGN.md §12) and drop
+  // it instead of resurrecting a record. Zero = unknown: always processed.
   Timestamp ts;
-  // Watermark-GC piggyback, same contract as ValidateRequest::oldest_inflight.
-  Timestamp oldest_inflight;
 };
 
 // --- Epoch change (replica recovery, §5.3.1) ---

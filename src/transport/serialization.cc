@@ -96,7 +96,7 @@ bool Layout(V& v, Ref<V, GetReply> p) {
 }
 template <typename V>
 bool Layout(V& v, Ref<V, ValidateRequest> p) {
-  return v(p.tid) && v(p.ts) && v(p.sets) && v(p.priority) && v(p.oldest_inflight);
+  return v(p.tid) && v(p.ts) && v(p.sets) && v(p.priority);
 }
 // The one status that may carry the wire-only kRetryLater shed; record
 // snapshots never do.
@@ -115,7 +115,7 @@ bool Layout(V& v, Ref<V, AcceptReply> p) {
 }
 template <typename V>
 bool Layout(V& v, Ref<V, CommitRequest> p) {
-  return v(p.tid) && v(p.commit) && v(p.ts) && v(p.oldest_inflight);
+  return v(p.tid) && v(p.commit) && v(p.ts);
 }
 template <typename V>
 bool Layout(V& v, Ref<V, EpochChangeRequest> p) {

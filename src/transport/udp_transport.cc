@@ -160,7 +160,7 @@ bool SameWirePayload(const Payload& a, const Payload& b) {
   if (const auto* va = std::get_if<ValidateRequest>(&a)) {
     const auto* vb = std::get_if<ValidateRequest>(&b);
     return va->tid == vb->tid && va->ts == vb->ts && va->sets == vb->sets &&
-           va->priority == vb->priority && va->oldest_inflight == vb->oldest_inflight;
+           va->priority == vb->priority;
   }
   if (const auto* aa = std::get_if<AcceptRequest>(&a)) {
     const auto* ab = std::get_if<AcceptRequest>(&b);
@@ -169,8 +169,7 @@ bool SameWirePayload(const Payload& a, const Payload& b) {
   }
   if (const auto* ca = std::get_if<CommitRequest>(&a)) {
     const auto* cb = std::get_if<CommitRequest>(&b);
-    return ca->tid == cb->tid && ca->commit == cb->commit && ca->ts == cb->ts &&
-           ca->oldest_inflight == cb->oldest_inflight;
+    return ca->tid == cb->tid && ca->commit == cb->commit && ca->ts == cb->ts;
   }
   if (const auto* ea = std::get_if<EpochChangeRequest>(&a)) {
     const auto* eb = std::get_if<EpochChangeRequest>(&b);

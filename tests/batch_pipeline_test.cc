@@ -47,7 +47,8 @@ class LoopbackTransport : public Transport {
 class BatchDispatchFixture : public ::testing::Test {
  protected:
   BatchDispatchFixture() {
-    replica_ = std::make_unique<MeerkatReplica>(0, QuorumConfig::ForReplicas(3), 2, &transport_);
+    replica_ = std::make_unique<MeerkatReplica>(0, QuorumConfig::ForReplicas(3), 2, &transport_,
+                                                &clock_);
     for (int i = 0; i < 16; i++) {
       replica_->LoadKey(Key(i), "v0", Timestamp{1, 0});
     }
@@ -81,6 +82,7 @@ class BatchDispatchFixture : public ::testing::Test {
   }
 
   LoopbackTransport transport_;
+  TestClock clock_;
   std::unique_ptr<MeerkatReplica> replica_;
 };
 

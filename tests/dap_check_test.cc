@@ -152,8 +152,9 @@ TEST_F(DapCheckTest, ClearResetsOwnerStamp) {
 }
 
 TEST_F(DapCheckTest, BulkMaintenanceEntryPointsAreSuspended) {
-  // ReplaceAll / TrimFinalizedAll walk every partition from one thread; they
-  // must not trip the detector even inside a foreign core scope.
+  // ReplaceAll walks every partition from one thread; it must not trip the
+  // detector even inside a foreign core scope. Trimming has no bulk form:
+  // each core trims its own partition with TrimStep, inside its own scope.
   TRecord trecord(4);
   for (uint32_t core = 0; core < 4; core++) {
     DapCoreScope scope(core);
@@ -161,8 +162,13 @@ TEST_F(DapCheckTest, BulkMaintenanceEntryPointsAreSuspended) {
     rec.status = TxnStatus::kCommitted;
     rec.ts = Timestamp{100, 1};
   }
+  for (uint32_t core = 0; core < 4; core++) {
+    DapCoreScope scope(core);
+    size_t cursor = 0;
+    EXPECT_EQ(trecord.Partition(core).TrimStep(Timestamp{200, 1}, /*budget=*/16, &cursor).trimmed,
+              1u);
+  }
   DapCoreScope scope(0);
-  EXPECT_EQ(trecord.TrimFinalizedAll(Timestamp{200, 1}), 4u);
   trecord.ReplaceAll({});
   EXPECT_EQ(DapAudit::violations(), 0u);
 }

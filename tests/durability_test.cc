@@ -20,7 +20,7 @@ class DurabilityFixture : public ::testing::TestWithParam<uint64_t> {
   DurabilityFixture() : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_) {
     for (ReplicaId r = 0; r < 3; r++) {
       replicas_.push_back(std::make_unique<MeerkatReplica>(r, QuorumConfig::ForReplicas(3), 2,
-                                                           &transport_));
+                                                           &transport_, &time_source_));
       replicas_.back()->LoadKey("seed-key", "0", Timestamp{1, 0});
     }
   }
@@ -150,7 +150,7 @@ TEST(ClockSkewCorrectnessTest, HugeSkewNeverBreaksSerializability) {
   std::vector<std::unique_ptr<MeerkatReplica>> replicas;
   for (ReplicaId r = 0; r < 3; r++) {
     replicas.push_back(std::make_unique<MeerkatReplica>(r, QuorumConfig::ForReplicas(3), 1,
-                                                        &transport));
+                                                        &transport, &time_source));
     replicas.back()->LoadKey("k", "0", Timestamp{1, 0});
   }
 

@@ -12,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 
+#include "src/common/metrics.h"
 #include "src/transport/fault_injector.h"
 #include "tests/test_util.h"
 #include "tests/zcp_conformance.h"
@@ -29,18 +31,44 @@ RetryPolicy TestRetry() { return RetryPolicy::WithTimeout(200'000); }
 // signature of everything the client observed: result, path, per-txn
 // retransmits, and the session's aggregate retry counters. Two runs of the
 // same configuration must produce the same signature.
-std::string RunWorkload(SimHarness& h, int n) {
+//
+// By default each transaction runs to quiescence before the next starts.
+// With `overlap_gap_ns` set the workload is a closed loop instead: each
+// transaction starts that long after the previous one decided, while delayed
+// messages and write phases are still in flight, so replica cores keep
+// dispatching (and running GC steps) while a late original is on its way.
+std::string RunWorkload(SimHarness& h, int n, uint64_t overlap_gap_ns = 0) {
   for (int i = 0; i < n; i++) {
     h.system().Load("key-" + std::to_string(i), "init");
   }
   auto session = h.MakeSession(1, /*seed=*/7);
   std::ostringstream sig;
-  for (int i = 0; i < n; i++) {
+  auto plan_for = [](int i) {
     TxnPlan plan;
     plan.ops.push_back(Op::Rmw("key-" + std::to_string(i), "v" + std::to_string(i)));
-    TxnOutcome outcome = h.RunTxnOutcome(*session, plan);
+    return plan;
+  };
+  auto record = [&sig](int i, const TxnOutcome& outcome) {
     sig << i << ":" << ToString(outcome.result) << "/" << ToString(outcome.path) << "/r"
         << outcome.retransmits << ";";
+  };
+  if (overlap_gap_ns == 0) {
+    for (int i = 0; i < n; i++) {
+      record(i, h.RunTxnOutcome(*session, plan_for(i)));
+    }
+  } else {
+    SimActor* actor = h.transport().ActorFor(Address::Client(1), 0);
+    std::function<void(int)> launch = [&](int i) {
+      session->ExecuteAsync(plan_for(i), [&, i](const TxnOutcome& outcome) {
+        record(i, outcome);
+        if (i + 1 < n) {
+          h.sim().ScheduleAfter(overlap_gap_ns, actor,
+                                [&launch, i](SimContext&) { launch(i + 1); });
+        }
+      });
+    };
+    h.sim().Schedule(h.sim().now() + 1, actor, [&launch](SimContext&) { launch(0); });
+    h.sim().Run();
   }
   sig << "stats:" << session->stats().committed << "," << session->stats().aborted << ","
       << session->stats().failed << "," << session->stats().retransmits << ","
@@ -176,15 +204,22 @@ INSTANTIATE_TEST_SUITE_P(AllCells, FaultMatrixTest, ::testing::ValuesIn(BuildMat
                          });
 
 // Trim-vs-retransmit races: the same scripted faults with the watermark GC
-// trimming on every dispatch. A duplicated or long-delayed VALIDATE/COMMIT
-// can now arrive after the record it targets has been finalized *and
-// trimmed*; the watermark answer rules (stale VALIDATE → abort vote without
-// re-creating a record, stale COMMIT → dropped as tolerated loss) must keep
-// the workload fully committed and the schedule bit-identical on replay.
+// trimming on every dispatch, behind a horizon that sits between the 200 us
+// retry timeout and the 1 ms injected delay. A retransmission always lands
+// inside the horizon; a duplicated or long-delayed VALIDATE/COMMIT can land
+// after the record it targets has been finalized *and trimmed*. The
+// watermark answer rules (stale VALIDATE → abort vote without re-creating a
+// record, stale COMMIT → dropped as tolerated loss) must keep the workload
+// fully committed and the schedule bit-identical on replay. The workload is
+// a closed loop with 100 us between transactions, so GC steps keep running
+// while a delayed original is in flight.
 class GcTrimRetransmitTest : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(GcTrimRetransmitTest, TrimRaceIsAbsorbedAndDeterministic) {
   MatrixCase param = GetParam();
+  constexpr uint64_t kHorizonNs = 300'000;
+  constexpr uint64_t kDelayNs = 1'000'000;
+  constexpr uint64_t kGapNs = 100'000;
 
   FaultPlan plan;
   plan.WithSeed(13);
@@ -193,29 +228,38 @@ TEST_P(GcTrimRetransmitTest, TrimRaceIsAbsorbedAndDeterministic) {
       plan.DropNth(param.step, 2, /*count=*/2);
       break;
     case FaultAction::kDelay:
-      // Well past the retry timeout: the retransmission commits and the GC
-      // trims the record before the late original lands.
-      plan.DelayNth(param.step, 2, /*delay_ns=*/500'000, /*count=*/2);
+      // Well past the retry timeout and the horizon: the retransmission
+      // commits and the GC trims the record before the late original lands.
+      plan.DelayNth(param.step, 2, kDelayNs, /*count=*/2);
       break;
     default:
       plan.DuplicateNth(param.step, 2, /*count=*/2);
       break;
   }
 
-  SystemOptions options = DefaultOptions(param.kind)
-                              .WithRetry(TestRetry())
-                              .WithFaultPlan(plan)
-                              .WithGc(GcOptions().WithIntervalDispatches(1).WithTrimBudget(1024));
+  SystemOptions options =
+      DefaultOptions(param.kind)
+          .WithRetry(TestRetry())
+          .WithFaultPlan(plan)
+          .WithGc(
+              GcOptions().WithIntervalDispatches(1).WithTrimBudget(1024).WithHorizon(kHorizonNs));
+  const uint64_t stale_before = SnapshotMetrics().CounterValue("gc.stale_validates_answered");
   SimHarness h(options);
-  std::string sig = RunWorkload(h, /*n=*/8);
+  std::string sig = RunWorkload(h, /*n=*/8, kGapNs);
+  const uint64_t stale =
+      SnapshotMetrics().CounterValue("gc.stale_validates_answered") - stale_before;
 
   ASSERT_NE(h.transport().fault_injector(), nullptr);
   EXPECT_GE(h.transport().fault_injector()->rule_matches(0), 2u)
       << "scripted step never matched — vacuous matrix cell";
   EXPECT_NE(sig.find("stats:8,0,0"), std::string::npos) << sig;
+  if (param.action == FaultAction::kDelay && param.step == MsgKind::kValidateRequest) {
+    // The late originals met trimmed records and were answered from W.
+    EXPECT_GT(stale, 0u) << "no delayed VALIDATE raced a trim — the cell does not bite";
+  }
 
   SimHarness replay(options);
-  EXPECT_EQ(RunWorkload(replay, /*n=*/8), sig);
+  EXPECT_EQ(RunWorkload(replay, /*n=*/8, kGapNs), sig);
 }
 
 INSTANTIATE_TEST_SUITE_P(

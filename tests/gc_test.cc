@@ -1,20 +1,26 @@
 // Online watermark GC (DESIGN.md §12): budgeted TrimStep mechanics, the
-// per-core watermark fold from piggybacked oldest-inflight stamps, the
-// trimmed-duplicate answer branches (retransmitted VALIDATE/COMMIT for
-// already-trimmed transactions), the orphan sweep driving cooperative
-// termination, and a simulator soak showing the trecord stays bounded.
+// per-core watermark W = replica clock − horizon, the trimmed-duplicate
+// answer branches (retransmitted VALIDATE/COMMIT for already-trimmed
+// transactions), the orphan sweep driving cooperative termination, a
+// simulator soak showing the trecord stays bounded, and two simulator runs
+// the watermark must survive: a client that crashes mid-commit and a few
+// hundred clients retransmitting through dropped VALIDATEs.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/dap_check.h"
+#include "src/common/metrics.h"
 #include "src/protocol/replica.h"
 #include "src/protocol/session.h"
 #include "src/sim/sim_time_source.h"
+#include "src/transport/fault_injector.h"
 #include "src/transport/sim_transport.h"
+#include "tests/test_util.h"
 
 namespace meerkat {
 namespace {
@@ -138,14 +144,18 @@ class LoopbackTransport : public Transport {
   std::vector<TransportReceiver*> receivers_;
 };
 
+// The replica's clock is a TestClock the tests move by hand; the horizon is
+// 100 of its units, so W = now − 100 once now passes 100.
+constexpr uint64_t kTestHorizon = 100;
+
 class GcReplicaFixture : public ::testing::Test {
  protected:
   GcReplicaFixture() {
     // Aggressive GC so every injected message is followed by a trim step.
     replica_ = std::make_unique<MeerkatReplica>(
-        0, QuorumConfig::ForReplicas(3), 2, &transport_, /*group_base=*/0, RetryPolicy(),
-        OverloadOptions(),
-        GcOptions().WithIntervalDispatches(1).WithTrimBudget(256).WithMaxTrackedClients(4));
+        0, QuorumConfig::ForReplicas(3), 2, &transport_, &clock_, /*group_base=*/0,
+        RetryPolicy(), OverloadOptions(),
+        GcOptions().WithIntervalDispatches(1).WithTrimBudget(256).WithHorizon(kTestHorizon));
     replica_->LoadKey("k", "v0", Timestamp{1, 0});
   }
 
@@ -158,142 +168,150 @@ class GcReplicaFixture : public ::testing::Test {
     return msg;
   }
 
-  ValidateRequest Validate(TxnId tid, Timestamp ts, Timestamp mark) {
-    ValidateRequest req{tid, ts, {{"k", Timestamp{1, 0}}}, {{"k", "v" + std::to_string(ts.time)}}};
-    req.oldest_inflight = mark;
-    return req;
+  ValidateRequest Validate(TxnId tid, Timestamp ts) {
+    return ValidateRequest{
+        tid, ts, {{"k", Timestamp{1, 0}}}, {{"k", "v" + std::to_string(ts.time)}}};
   }
 
-  // One full fast-path transaction on core 0, stamped with its own ts as the
-  // oldest-inflight mark (exactly what MeerkatSession now sends).
+  // One full fast-path transaction on core 0.
   void RunTxn(TxnId tid, Timestamp ts) {
-    transport_.Inject(0, From(tid.client_id, 0, Validate(tid, ts, ts)));
-    transport_.Inject(0, From(tid.client_id, 0, CommitRequest{tid, true, ts, ts}));
+    transport_.Inject(0, From(tid.client_id, 0, Validate(tid, ts)));
+    transport_.Inject(0, From(tid.client_id, 0, CommitRequest{tid, true, ts}));
   }
+
+  TxnRecord* Find(TxnId tid) { return replica_->trecord().Partition(0).Find(tid); }
 
   LoopbackTransport transport_;
+  TestClock clock_;
   std::unique_ptr<MeerkatReplica> replica_;
 };
 
-TEST_F(GcReplicaFixture, WatermarkAdvancesFromStampsAndTrims) {
+TEST_F(GcReplicaFixture, WatermarkTrailsTheClockAndTrims) {
   RunTxn({1, 1}, {10, 1});
-  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{10, 1}));
-  // Nothing strictly below the watermark yet.
-  EXPECT_NE(replica_->trecord().Partition(0).Find({1, 1}), nullptr);
+  // The clock has not run one horizon past its origin: no watermark, no trim.
+  EXPECT_FALSE(replica_->core_watermark(0).Valid());
+  EXPECT_NE(Find({1, 1}), nullptr);
 
-  RunTxn({1, 2}, {20, 1});
-  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{20, 1}));
-  // The first transaction fell strictly below the new watermark: trimmed.
-  EXPECT_EQ(replica_->trecord().Partition(0).Find({1, 1}), nullptr);
-  // The stamping client's own transaction sits AT the watermark: kept.
-  EXPECT_NE(replica_->trecord().Partition(0).Find({1, 2}), nullptr);
+  clock_.Set(115);
+  RunTxn({1, 2}, {112, 1});
+  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{15, 0}));
+  // The first transaction fell strictly below the watermark: trimmed.
+  EXPECT_EQ(Find({1, 1}), nullptr);
+  // The fresh one is inside the horizon: kept.
+  EXPECT_NE(Find({1, 2}), nullptr);
   EXPECT_GE(replica_->gc_trim_passes(), 1u);
 }
 
 TEST_F(GcReplicaFixture, DuplicateValidateAfterTrimIsAnsweredAbortWithoutARecord) {
   RunTxn({1, 1}, {10, 1});
-  RunTxn({1, 2}, {20, 1});
-  ASSERT_EQ(replica_->trecord().Partition(0).Find({1, 1}), nullptr);
+  clock_.Set(120);
+  RunTxn({1, 2}, {115, 1});
+  ASSERT_EQ(Find({1, 1}), nullptr);
 
   KeyEntry* entry = replica_->store().Find("k");
   size_t readers_before = entry->readers.size();
 
   // A straggling retransmission of the trimmed transaction's VALIDATE.
-  transport_.Inject(0, From(1, 0, Validate({1, 1}, {10, 1}, Timestamp{})));
+  transport_.Inject(0, From(1, 0, Validate({1, 1}, {10, 1})));
   const ValidateReply* reply = transport_.LastReply<ValidateReply>();
   ASSERT_NE(reply, nullptr);
   EXPECT_EQ(reply->tid, (TxnId{1, 1}));
   EXPECT_EQ(reply->status, TxnStatus::kValidatedAbort);
   // Answered from the watermark: no record resurrected, no OCC registration.
-  EXPECT_EQ(replica_->trecord().Partition(0).Find({1, 1}), nullptr);
+  EXPECT_EQ(Find({1, 1}), nullptr);
   EXPECT_EQ(entry->readers.size(), readers_before);
 }
 
 TEST_F(GcReplicaFixture, StaleCommitForTrimmedTransactionIsDropped) {
   RunTxn({1, 1}, {10, 1});
-  RunTxn({1, 2}, {20, 1});
-  ASSERT_EQ(replica_->trecord().Partition(0).Find({1, 1}), nullptr);
+  clock_.Set(120);
+  RunTxn({1, 2}, {115, 1});
+  ASSERT_EQ(Find({1, 1}), nullptr);
 
   std::string value = replica_->store().Read("k").value;
   // A straggling retransmission of the trimmed transaction's COMMIT. Without
   // the watermark check this resurrected the record forever (the unbounded-
   // growth bug).
-  transport_.Inject(0, From(1, 0, CommitRequest{{1, 1}, true, {10, 1}, Timestamp{}}));
-  EXPECT_EQ(replica_->trecord().Partition(0).Find({1, 1}), nullptr);
+  transport_.Inject(0, From(1, 0, CommitRequest{{1, 1}, true, {10, 1}}));
+  EXPECT_EQ(Find({1, 1}), nullptr);
   // The store is untouched: its value was already installed (Thomas rule
   // would make a re-install idempotent anyway, but the drop never reaches it).
   EXPECT_EQ(replica_->store().Read("k").value, value);
 }
 
 TEST_F(GcReplicaFixture, CommitAboveWatermarkStillCreatesAndAdoptsStampedTs) {
-  RunTxn({1, 1}, {10, 1});
+  clock_.Set(120);
+  RunTxn({1, 1}, {115, 1});
+  ASSERT_EQ(replica_->core_watermark(0), (Timestamp{20, 0}));
   // COMMIT for a transaction this replica never validated, above W: must be
   // processed (the replica missed the VALIDATE, not the other way around),
   // and the record must adopt the stamped ts so it stays trimmable.
-  transport_.Inject(0, From(2, 0, CommitRequest{{2, 1}, true, {30, 2}, {30, 2}}));
-  TxnRecord* rec = replica_->trecord().Partition(0).Find({2, 1});
+  transport_.Inject(0, From(2, 0, CommitRequest{{2, 1}, true, {30, 2}}));
+  TxnRecord* rec = Find({2, 1});
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->status, TxnStatus::kCommitted);
   EXPECT_EQ(rec->ts, (Timestamp{30, 2}));
 
-  // Advance the watermark past it: the adopted ts makes it trimmable.
-  RunTxn({1, 2}, {50, 1});
-  transport_.Inject(0, From(2, 0, Validate({2, 2}, {60, 2}, {60, 2})));
-  EXPECT_EQ(replica_->trecord().Partition(0).Find({2, 1}), nullptr);
+  // Advance the clock past it: the adopted ts makes it trimmable.
+  clock_.Set(200);
+  transport_.Inject(0, From(2, 0, Validate({2, 2}, {150, 2})));
+  EXPECT_EQ(Find({2, 1}), nullptr);
 }
 
-TEST_F(GcReplicaFixture, WatermarkIsMonotoneUnderMarkRegression) {
-  RunTxn({1, 1}, {10, 1});
-  RunTxn({1, 2}, {20, 1});
-  ASSERT_EQ(replica_->core_watermark(0), (Timestamp{20, 1}));
+TEST_F(GcReplicaFixture, WatermarkIsMonotoneUnderClockRegression) {
+  clock_.Set(200);
+  RunTxn({1, 1}, {190, 1});
+  ASSERT_EQ(replica_->core_watermark(0), (Timestamp{100, 0}));
 
-  // A reordered (older) stamp from the same client arrives late: the
-  // published watermark must not regress — records below it are gone.
-  transport_.Inject(0, From(1, 0, Validate({1, 9}, {25, 1}, {15, 1})));
-  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{20, 1}));
+  // The clock steps back: the published watermark must not regress —
+  // records below it are gone.
+  clock_.Set(150);
+  RunTxn({1, 2}, {195, 1});
+  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{100, 0}));
 }
 
 TEST_F(GcReplicaFixture, WatermarksAreIndependentPerCore) {
-  RunTxn({1, 1}, {10, 1});
-  RunTxn({1, 2}, {20, 1});
-  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{20, 1}));
-  // Core 1 saw no traffic: its watermark must still be invalid (no trim).
+  clock_.Set(200);
+  RunTxn({1, 1}, {190, 1});
+  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{100, 0}));
+  // Core 1 saw no traffic and ran no GC step: its watermark is still invalid.
   EXPECT_FALSE(replica_->core_watermark(1).Valid());
 }
 
-TEST_F(GcReplicaFixture, FullClientTableDropsMarksConservatively) {
-  // Capacity 4: clients 1..4 tracked, 5 and 6 dropped.
-  for (uint32_t c = 1; c <= 6; c++) {
-    transport_.Inject(
-        0, From(c, 0, Validate({c, 1}, {100 * c, c}, Timestamp{100 * c, c})));
-  }
-  // The fold sees only the tracked clients; dropped marks never advance W
-  // past anyone (W = min of tracked = client 1's mark).
-  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{100, 1}));
-}
-
-TEST_F(GcReplicaFixture, CrashRestartResetsWatermark) {
-  RunTxn({1, 1}, {10, 1});
-  RunTxn({1, 2}, {20, 1});
-  ASSERT_TRUE(replica_->core_watermark(0).Valid());
+TEST_F(GcReplicaFixture, CrashRestartKeepsTheClockWatermark) {
+  clock_.Set(200);
+  RunTxn({1, 1}, {190, 1});
+  ASSERT_EQ(replica_->core_watermark(0), (Timestamp{100, 0}));
+  // W derives from the clock alone, so a restart has no pre-crash input to
+  // forget: the watermark stays, and the emptied trecord waits for the epoch
+  // change that readmits the replica.
   replica_->CrashAndRestart();
-  EXPECT_FALSE(replica_->core_watermark(0).Valid());
+  EXPECT_EQ(replica_->core_watermark(0), (Timestamp{100, 0}));
+  EXPECT_EQ(replica_->trecord().TotalSize(), 0u);
 }
 
 // --- Orphan sweep drives cooperative termination (simulator) --------------
 
+// Virtual-time layout: horizon 100 us, grace 100 us, so a non-final record is
+// swept once the replica clock runs 200 us past its timestamp.
+constexpr uint64_t kOrphanHorizon = 100'000;
+constexpr uint64_t kOrphanGrace = 100'000;
+
 class GcOrphanFixture : public ::testing::Test {
  protected:
-  GcOrphanFixture() : sim_(CostModel{}), transport_(&sim_) {
+  GcOrphanFixture() : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_) {
     for (ReplicaId r = 0; r < 3; r++) {
       // Only replica 1 runs the sweep, so exactly one backup coordinator
       // contends for the orphan (the multi-host case is arbitrated by views
-      // and covered by the protocol tests).
-      GcOptions gc = r == 1 ? GcOptions().WithIntervalDispatches(1).WithOrphanGrace(100)
+      // and covered by GcHorizonTest below).
+      GcOptions gc = r == 1 ? GcOptions()
+                                  .WithIntervalDispatches(1)
+                                  .WithHorizon(kOrphanHorizon)
+                                  .WithOrphanGrace(kOrphanGrace)
                             : GcOptions().WithEnabled(false);
       replicas_.push_back(std::make_unique<MeerkatReplica>(
-          r, QuorumConfig::ForReplicas(3), 2, &transport_, /*group_base=*/0, RetryPolicy(),
-          OverloadOptions(), gc));
+          r, QuorumConfig::ForReplicas(3), 2, &transport_, &time_source_, /*group_base=*/0,
+          RetryPolicy(), OverloadOptions(), gc));
       replicas_.back()->LoadKey("k", "v0", Timestamp{1, 0});
       replicas_.back()->LoadKey("w", "w0", Timestamp{1, 0});
     }
@@ -301,9 +319,12 @@ class GcOrphanFixture : public ::testing::Test {
     transport_.RegisterClient(98, &sink_);
   }
 
-  void Broadcast(uint32_t client, Payload payload) {
+  // Sends `payload` from `client` to every replica at virtual time `at_ns`.
+  // Callers stamp ts = {at_ns, client}: the time the client's clock reads as
+  // it sends, exactly as a MeerkatSession stamps its transactions.
+  void BroadcastAt(uint64_t at_ns, uint32_t client, Payload payload) {
     SimActor* actor = transport_.ActorFor(Address::Client(client), 0);
-    sim_.Schedule(sim_.now() + 1, actor, [this, client, payload](SimContext&) {
+    sim_.Schedule(at_ns, actor, [this, client, payload](SimContext&) {
       for (ReplicaId r = 0; r < 3; r++) {
         Message msg;
         msg.src = Address::Client(client);
@@ -316,12 +337,21 @@ class GcOrphanFixture : public ::testing::Test {
     sim_.Run();
   }
 
+  // A live client's full transaction on "w" at `at_ns`.
+  void FreshTxnAt(uint64_t at_ns) {
+    TxnId fresh{98, 1};
+    Timestamp ts{at_ns, 98};
+    BroadcastAt(at_ns, 98, ValidateRequest{fresh, ts, {{"w", Timestamp{1, 0}}}, {{"w", "w1"}}});
+    BroadcastAt(sim_.now() + 1, 98, CommitRequest{fresh, true, ts});
+  }
+
   struct Sink : TransportReceiver {
     void Receive(Message&&) override {}
   };
 
   Simulator sim_;
   SimTransport transport_;
+  SimTimeSource time_source_;
   Sink sink_;
   std::vector<std::unique_ptr<MeerkatReplica>> replicas_;
 };
@@ -330,17 +360,17 @@ TEST_F(GcOrphanFixture, SweepRecoversOrphanAndClearsPendingRegistrations) {
   // Validate everywhere, then abandon (coordinator "crash" before deciding):
   // the orphan holds pending reader/writer registrations on "k".
   TxnId orphan{99, 1};
-  Broadcast(99, ValidateRequest{orphan, {1000, 99}, {{"k", Timestamp{1, 0}}}, {{"k", "orphan"}}});
+  constexpr uint64_t kOrphanAt = 10'000;
+  BroadcastAt(
+      kOrphanAt, 99,
+      ValidateRequest{orphan, {kOrphanAt, 99}, {{"k", Timestamp{1, 0}}}, {{"k", "orphan"}}});
   ASSERT_EQ(replicas_[1]->trecord().Partition(0).Find(orphan)->status, TxnStatus::kValidatedOk);
   ASSERT_GT(replicas_[1]->store().PendingCountForTesting(), 0u);
 
-  // Fresh traffic from a live client pushes replica 1's watermark far past
-  // the orphan (+grace); its GC sweep must start cooperative termination.
-  TxnId fresh{98, 1};
-  ValidateRequest v{fresh, {2000, 98}, {{"w", Timestamp{1, 0}}}, {{"w", "w1"}}};
-  v.oldest_inflight = Timestamp{2000, 98};
-  Broadcast(98, v);
-  Broadcast(98, CommitRequest{fresh, true, {2000, 98}, {2000, 98}});
+  // A live client's traffic long after horizon + grace drives replica 1's GC
+  // steps; its clock-derived watermark is far past the orphan (+grace), so
+  // the sweep must start cooperative termination.
+  FreshTxnAt(kOrphanAt + 4 * (kOrphanHorizon + kOrphanGrace));
   sim_.Run();
 
   // The orphan was VALIDATED-OK at a majority: cooperative termination must
@@ -360,16 +390,17 @@ TEST_F(GcOrphanFixture, SweepRecoversOrphanAndClearsPendingRegistrations) {
 }
 
 TEST_F(GcOrphanFixture, LiveTransactionsInsideGraceAreLeftAlone) {
+  // The fresh traffic at t puts W at t − horizon and the orphan threshold at
+  // t − horizon − grace; a transaction stamped half a grace below W is below
+  // the watermark but inside the grace window — a live coordinator may still
+  // be driving it, so the sweep leaves it (and trimming skips non-final
+  // records).
+  constexpr uint64_t kFreshAt = 1'000'000;
+  const uint64_t inflight_at = kFreshAt - kOrphanHorizon - kOrphanGrace / 2;
   TxnId inflight{99, 1};
-  Broadcast(99, ValidateRequest{inflight, {1990, 99}, {{"k", Timestamp{1, 0}}}, {{"k", "x"}}});
-
-  // Watermark 2000, grace 100: the 1990 transaction is inside the grace
-  // window — a live coordinator may still be driving it.
-  TxnId fresh{98, 1};
-  ValidateRequest v{fresh, {2000, 98}, {{"w", Timestamp{1, 0}}}, {{"w", "w1"}}};
-  v.oldest_inflight = Timestamp{2000, 98};
-  Broadcast(98, v);
-  Broadcast(98, CommitRequest{fresh, true, {2000, 98}, {2000, 98}});
+  BroadcastAt(inflight_at, 99,
+              ValidateRequest{inflight, {inflight_at, 99}, {{"k", Timestamp{1, 0}}}, {{"k", "x"}}});
+  FreshTxnAt(kFreshAt);
   sim_.Run();
 
   EXPECT_EQ(replicas_[1]->hosted_backup_count(), 0u);
@@ -387,9 +418,12 @@ TEST(GcSoakTest, TrecordStaysBoundedOverManyTransactions) {
   SimTimeSource time_source(&sim);
   std::vector<std::unique_ptr<MeerkatReplica>> replicas;
   for (ReplicaId r = 0; r < 3; r++) {
+    // A transaction takes ~10 us of virtual time; a 100 us horizon keeps
+    // about ten of them live.
     replicas.push_back(std::make_unique<MeerkatReplica>(
-        r, QuorumConfig::ForReplicas(3), 2, &transport, /*group_base=*/0, RetryPolicy(),
-        OverloadOptions(), GcOptions().WithIntervalDispatches(4)));
+        r, QuorumConfig::ForReplicas(3), 2, &transport, &time_source, /*group_base=*/0,
+        RetryPolicy(), OverloadOptions(),
+        GcOptions().WithIntervalDispatches(4).WithHorizon(100'000)));
     for (int k = 0; k < 8; k++) {
       replicas.back()->LoadKey("key" + std::to_string(k), "0", Timestamp{1, 0});
     }
@@ -431,6 +465,152 @@ TEST(GcSoakTest, TrecordStaysBoundedOverManyTransactions) {
   }
   EXPECT_GT(trim_passes, 0u);
   EXPECT_EQ(DapAudit::violations(), 0u) << "GC broke data-access parallelism";
+}
+
+// --- The watermark under client crashes and client counts ------------------
+
+// Starts `plan` on `session` at virtual time `at_ns` and runs the simulator
+// until nothing is left to do (the write phase included).
+TxnOutcome RunTxnAt(Simulator& sim, SimTransport& transport, ClientSession& session,
+                    uint64_t at_ns, TxnPlan plan) {
+  TxnOutcome outcome;
+  SimActor* actor = transport.ActorFor(Address::Client(session.client_id()), 0);
+  sim.Schedule(at_ns, actor, [&](SimContext&) {
+    session.ExecuteAsync(std::move(plan), [&outcome](const TxnOutcome& o) { outcome = o; });
+  });
+  sim.Run();
+  return outcome;
+}
+
+// A real session dies as its first COMMIT leaves: every replica validated its
+// transaction, none hears the decision. The watermark needs nothing from that
+// client, so it keeps advancing on every core: once the clock runs horizon +
+// grace past the orphan, the sweep terminates it everywhere, and the live
+// client's records keep trimming on the cores the dead one used.
+TEST(GcHorizonTest, CrashedClientIsTerminatedAndDoesNotPinTrimming) {
+  constexpr uint64_t kHorizon = 1'000'000;
+  constexpr uint64_t kGrace = 2'000'000;
+  constexpr uint64_t kGap = 100'000;  // Virtual time between live transactions.
+  constexpr int kLiveTxns = 80;       // 8 ms: well past horizon + grace.
+  Simulator sim(CostModel{});
+  SimTransport transport(&sim);
+  SimTimeSource time_source(&sim);
+  transport.fault_injector()->InstallPlan(
+      FaultPlan().WithSeed(5).CrashSrcAtNth(MsgKind::kCommitRequest, 1, /*src_client=*/1));
+
+  const RetryPolicy retry = RetryPolicy::WithTimeout(200'000);
+  std::vector<std::unique_ptr<MeerkatReplica>> replicas;
+  for (ReplicaId r = 0; r < 3; r++) {
+    replicas.push_back(std::make_unique<MeerkatReplica>(
+        r, QuorumConfig::ForReplicas(3), 2, &transport, &time_source, /*group_base=*/0, retry,
+        OverloadOptions(),
+        GcOptions().WithIntervalDispatches(1).WithHorizon(kHorizon).WithOrphanGrace(kGrace)));
+    replicas.back()->LoadKey("doomed", "v0", Timestamp{1, 0});
+    for (int k = 0; k < 8; k++) {
+      replicas.back()->LoadKey("live" + std::to_string(k), "0", Timestamp{1, 0});
+    }
+  }
+  SessionOptions options;
+  options.quorum = QuorumConfig::ForReplicas(3);
+  options.cores_per_replica = 2;
+  options.retry = retry;
+  MeerkatSession doomed(1, &transport, &time_source, options, 3);
+  MeerkatSession live(2, &transport, &time_source, options, 4);
+
+  TxnPlan doomed_plan;
+  doomed_plan.ops.push_back(Op::Put("doomed", "orphan"));
+  RunTxnAt(sim, transport, doomed, sim.now() + 1, std::move(doomed_plan));
+  ASSERT_EQ(transport.fault_injector()->rule_matches(0), 1u) << "the client never crashed";
+  for (auto& replica : replicas) {
+    ASSERT_GT(replica->store().PendingCountForTesting(), 0u) << "no orphan to recover";
+  }
+
+  int committed = 0;
+  for (int i = 0; i < kLiveTxns; i++) {
+    TxnPlan plan;
+    plan.ops.push_back(Op::Put("live" + std::to_string(i % 8), std::to_string(i)));
+    if (RunTxnAt(sim, transport, live, sim.now() + kGap, std::move(plan)).committed()) {
+      committed++;
+    }
+  }
+  EXPECT_EQ(committed, kLiveTxns);
+
+  // Cooperative termination decided the orphan on every replica (all three
+  // validated it, so the safe decision is commit) and released its pending
+  // registrations; the record itself may already be trimmed.
+  for (auto& replica : replicas) {
+    EXPECT_EQ(replica->store().Read("doomed").value, "orphan") << "replica " << replica->id();
+    EXPECT_EQ(replica->store().PendingCountForTesting(), 0u) << "replica " << replica->id();
+    for (CoreId core = 0; core < 2; core++) {
+      TxnRecord* rec = replica->trecord().Partition(core).Find(TxnId{1, 1});
+      if (rec != nullptr) {
+        EXPECT_EQ(rec->status, TxnStatus::kCommitted) << "replica " << replica->id();
+      }
+    }
+    // Only the last horizon's worth of live transactions (~10) may remain on
+    // any core; a pinned core would hold every live record it saw.
+    EXPECT_LT(replica->trecord().TotalSize(), static_cast<size_t>(kLiveTxns) / 4)
+        << "replica " << replica->id() << " stopped trimming";
+  }
+}
+
+// Hundreds of clients, two cores per replica, dropped VALIDATEs and a
+// deadline-bounded retry policy. CreateSystem raises the tiny configured
+// horizon to the deadline plus the clocks' skew, so a retransmission of a
+// transaction still inside its deadline is never answered from the
+// watermark: no abort vote from W, no dropped first-delivery COMMIT, and
+// every transaction commits. There is no per-client state to overflow.
+TEST(GcHorizonTest, ManyClientsInsideDeadlineMeetNoStaleAnswers) {
+  constexpr uint32_t kClients = 256;
+  constexpr uint32_t kTxnsPerClient = 4;
+  FaultPlan plan;
+  plan.WithSeed(9);
+  for (uint64_t k = 0; k < 96; k++) {
+    plan.DropNth(MsgKind::kValidateRequest, 5 + 23 * k);
+  }
+  RetryPolicy retry = RetryPolicy::WithTimeout(500'000);
+  retry.attempt_deadline_ns = 20'000'000;
+  SystemOptions options = DefaultOptions(SystemKind::kMeerkat)
+                              .WithRetry(retry)
+                              .WithClock({.max_skew_ns = 50'000, .jitter_ns = 1'000})
+                              .WithFaultPlan(plan)
+                              .WithGc(GcOptions().WithIntervalDispatches(1).WithHorizon(1'000));
+  SimHarness h(options);
+  std::vector<std::unique_ptr<ClientSession>> sessions;
+  for (uint32_t c = 1; c <= kClients; c++) {
+    sessions.push_back(h.MakeSession(c, /*seed=*/c));
+  }
+
+  const MetricsSnapshot before = SnapshotMetrics();
+  int decided = 0;
+  int committed = 0;
+  std::function<void(uint32_t, uint32_t)> launch = [&](uint32_t c, uint32_t t) {
+    // A blind write of a key no other transaction touches: nothing can
+    // abort it but a vote answered from the watermark.
+    TxnPlan txn;
+    txn.ops.push_back(Op::Put("key-" + std::to_string(c) + "-" + std::to_string(t), "v"));
+    sessions[c - 1]->ExecuteAsync(std::move(txn), [&, c, t](const TxnOutcome& o) {
+      decided += o.result != TxnResult::kFailed ? 1 : 0;
+      committed += o.committed() ? 1 : 0;
+      if (t < kTxnsPerClient) {
+        launch(c, t + 1);
+      }
+    });
+  };
+  for (uint32_t c = 1; c <= kClients; c++) {
+    SimActor* actor = h.transport().ActorFor(Address::Client(c), 0);
+    h.sim().Schedule(h.sim().now() + 1, actor, [&launch, c](SimContext&) { launch(c, 1); });
+  }
+  h.sim().Run();
+  const MetricsSnapshot after = SnapshotMetrics();
+
+  EXPECT_GE(h.transport().fault_injector()->rule_matches(0), 1u) << "no VALIDATE was dropped";
+  EXPECT_EQ(decided, static_cast<int>(kClients * kTxnsPerClient));
+  EXPECT_EQ(committed, static_cast<int>(kClients * kTxnsPerClient));
+  EXPECT_EQ(after.CounterValue("gc.stale_validates_answered"),
+            before.CounterValue("gc.stale_validates_answered"));
+  EXPECT_EQ(after.CounterValue("gc.stale_commits_dropped"),
+            before.CounterValue("gc.stale_commits_dropped"));
 }
 
 }  // namespace

@@ -13,10 +13,10 @@ namespace {
 
 class OrphanRecoveryFixture : public ::testing::Test {
  protected:
-  OrphanRecoveryFixture() : sim_(CostModel{}), transport_(&sim_) {
+  OrphanRecoveryFixture() : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_) {
     for (ReplicaId r = 0; r < 3; r++) {
       replicas_.push_back(std::make_unique<MeerkatReplica>(r, QuorumConfig::ForReplicas(3), 2,
-                                                           &transport_));
+                                                           &transport_, &time_source_));
       replicas_.back()->LoadKey("k", "v0", Timestamp{1, 0});
     }
     transport_.RegisterClient(99, &sink_);
@@ -45,6 +45,7 @@ class OrphanRecoveryFixture : public ::testing::Test {
 
   Simulator sim_;
   SimTransport transport_;
+  SimTimeSource time_source_;
   Sink sink_;
   std::vector<std::unique_ptr<MeerkatReplica>> replicas_;
 };

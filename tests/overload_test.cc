@@ -245,7 +245,8 @@ class SheddingReplicaFixture : public ::testing::Test {
                                    .WithQueueWatermark(0)
                                    .WithBaseBackoffHint(50'000);
     replica_ = std::make_unique<MeerkatReplica>(0, QuorumConfig::ForReplicas(3), 2, &transport_,
-                                                /*group_base=*/0, RetryPolicy(), overload);
+                                                &clock_, /*group_base=*/0, RetryPolicy(),
+                                                overload);
     replica_->LoadKey("a", "v0", Timestamp{1, 0});
     replica_->LoadKey("b", "v0", Timestamp{1, 0});
     replica_->LoadKey("c", "v0", Timestamp{1, 0});
@@ -270,6 +271,7 @@ class SheddingReplicaFixture : public ::testing::Test {
   }
 
   ShedLoopbackTransport transport_;
+  TestClock clock_;
   std::unique_ptr<MeerkatReplica> replica_;
 };
 

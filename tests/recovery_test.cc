@@ -34,7 +34,8 @@ class MeerkatClusterFixture : public ::testing::Test {
       : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_),
         quorum_(QuorumConfig::ForReplicas(3)) {
     for (ReplicaId r = 0; r < 3; r++) {
-      replicas_.push_back(std::make_unique<MeerkatReplica>(r, quorum_, kCores, &transport_));
+      replicas_.push_back(std::make_unique<MeerkatReplica>(r, quorum_, kCores, &transport_,
+                                                           &time_source_));
     }
   }
 

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "src/protocol/replica.h"
+#include "tests/test_util.h"
 
 namespace meerkat {
 namespace {
@@ -56,7 +57,8 @@ class LoopbackTransport : public Transport {
 class ReplicaFixture : public ::testing::Test {
  protected:
   ReplicaFixture() {
-    replica_ = std::make_unique<MeerkatReplica>(0, QuorumConfig::ForReplicas(3), 2, &transport_);
+    replica_ = std::make_unique<MeerkatReplica>(0, QuorumConfig::ForReplicas(3), 2, &transport_,
+                                                &clock_);
     replica_->LoadKey("k", "v0", Timestamp{1, 0});
   }
 
@@ -74,6 +76,7 @@ class ReplicaFixture : public ::testing::Test {
   }
 
   LoopbackTransport transport_;
+  TestClock clock_;
   std::unique_ptr<MeerkatReplica> replica_;
 };
 

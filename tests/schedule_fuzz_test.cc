@@ -34,11 +34,19 @@
 namespace meerkat {
 namespace {
 
+// Virtual time of one delivery: the scheduler's clock advances this much per
+// delivered message, and sessions and replicas all read that one clock.
+constexpr uint64_t kDeliveryStepNs = 1'000;
+
 // Delivers buffered messages in RNG order. Single-threaded: Deliver pumps
-// until quiescence.
-class SchedulingTransport : public Transport {
+// until quiescence. It is also the run's only clock (a TimeSource advanced
+// per delivered message), so session timestamps and replica watermarks are a
+// pure function of the seed.
+class SchedulingTransport : public Transport, public TimeSource {
  public:
   explicit SchedulingTransport(uint64_t seed) : rng_(seed) {}
+
+  uint64_t NowNanos() override { return now_ns_; }
 
   void RegisterReplica(ReplicaId replica, CoreId core, TransportReceiver* receiver) override {
     replica_receivers_[{replica, core}] = receiver;
@@ -60,6 +68,7 @@ class SchedulingTransport : public Transport {
       Message msg = std::move(pending_[pick]);
       pending_[pick] = std::move(pending_.back());
       pending_.pop_back();
+      now_ns_ += kDeliveryStepNs;
       Dispatch(std::move(msg));
     }
   }
@@ -80,6 +89,7 @@ class SchedulingTransport : public Transport {
   }
 
   Rng rng_;
+  uint64_t now_ns_ = 0;
   std::vector<Message> pending_;
   std::map<std::pair<ReplicaId, CoreId>, TransportReceiver*> replica_receivers_;
   std::map<uint32_t, TransportReceiver*> client_receivers_;
@@ -95,17 +105,17 @@ struct FuzzOutcome {
 // Runs `txns_per_client` back-to-back single-RMW transactions per client on
 // one hot key under one delivery schedule and checks invariants. Each
 // client's next transaction is launched from the previous completion
-// callback, so its watermark stamp advances mid-schedule.
+// callback, so later transactions are stamped later on the delivery clock.
 FuzzOutcome RunSchedule(uint64_t seed, int num_clients, int txns_per_client = 1,
                         GcOptions gc = GcOptions(), CacheOptions cache = CacheOptions()) {
   SchedulingTransport transport(seed);
-  SystemTimeSource time_source;
+  TimeSource* const clock = &transport;
   QuorumConfig quorum = QuorumConfig::ForReplicas(3);
 
   std::vector<std::unique_ptr<MeerkatReplica>> replicas;
   for (ReplicaId r = 0; r < 3; r++) {
     replicas.push_back(std::make_unique<MeerkatReplica>(r, quorum, /*num_cores=*/1, &transport,
-                                                        /*group_base=*/0, RetryPolicy(),
+                                                        clock, /*group_base=*/0, RetryPolicy(),
                                                         OverloadOptions(), gc, cache));
     replicas.back()->LoadKey("hot", "0", Timestamp{1, 0});
   }
@@ -124,7 +134,7 @@ FuzzOutcome RunSchedule(uint64_t seed, int num_clients, int txns_per_client = 1,
   FuzzOutcome outcome;
   for (int c = 1; c <= num_clients; c++) {
     sessions.push_back(std::make_unique<MeerkatSession>(static_cast<uint32_t>(c), &transport,
-                                                        &time_source, options,
+                                                        clock, options,
                                                         seed * 31 + static_cast<uint64_t>(c)));
   }
   std::function<void(uint32_t, uint32_t)> launch = [&](uint32_t client, uint32_t t) {
@@ -273,14 +283,19 @@ TEST(ScheduleFuzzTest, FourWayContentionAllSchedules) {
 }
 
 // Trim-interleaving variant: the watermark GC runs a trim step after every
-// delivered message, and each client chains two transactions so its second
-// VALIDATE/COMMIT carries a stamp above its first transaction — making the
-// first's finalized record trimmable while other messages for it (and for
-// its conflicting peers) are still buffered. Every invariant must hold with
-// trims spliced between arbitrary delivery points, and across the seed sweep
-// trimming must actually occur (otherwise the variant is vacuous).
+// delivered message with a horizon of a few deliveries, and each client
+// chains two transactions — so a finalized record falls below the watermark
+// while other messages for it (and for its conflicting peers) are still
+// buffered, and a message the schedule holds back past the horizon is
+// answered from the watermark. Every invariant must hold with trims and
+// watermark answers spliced between arbitrary delivery points, and across
+// the seed sweep trimming must actually occur (otherwise the variant is
+// vacuous).
 TEST(ScheduleFuzzTest, ConflictingChainsWithTrimInterleaved) {
-  GcOptions aggressive = GcOptions().WithIntervalDispatches(1).WithTrimBudget(64);
+  GcOptions aggressive = GcOptions()
+                             .WithIntervalDispatches(1)
+                             .WithTrimBudget(64)
+                             .WithHorizon(8 * kDeliveryStepNs);
   const size_t untrimmed_total = 3u /*replicas*/ * 2u /*clients*/ * 2u /*txns*/;
   bool trimmed_somewhere = false;
   for (uint64_t seed = 0; seed < 150; seed++) {

@@ -74,7 +74,6 @@ TEST(SerializationTest, GetReplyRoundTrip) {
 TEST(SerializationTest, ValidateRequestRoundTrip) {
   ValidateRequest req{{3, 4}, {999, 3}, {{"a", {1, 0}}, {"b", {}}}, {{"c", "v1"}, {"d", ""}}};
   req.priority = 1;  // Overload-control priority (aged retry) rides the wire.
-  req.oldest_inflight = {990, 3};  // Watermark-GC stamp rides the wire too.
   Message out = RoundTrip(Wrap(req));
   const auto& p = std::get<ValidateRequest>(out.payload);
   ASSERT_EQ(p.read_set().size(), 2u);
@@ -83,7 +82,6 @@ TEST(SerializationTest, ValidateRequestRoundTrip) {
   ASSERT_EQ(p.write_set().size(), 2u);
   EXPECT_EQ(p.write_set()[1].value, "");
   EXPECT_EQ(p.priority, 1u);
-  EXPECT_EQ(p.oldest_inflight, (Timestamp{990, 3}));
 }
 
 TEST(SerializationTest, ValidateReplyRoundTrip) {
@@ -141,13 +139,12 @@ TEST(SerializationTest, AcceptRoundTrip) {
 }
 
 TEST(SerializationTest, CommitAndTimerRoundTrip) {
-  // Commit ts (trimmed-duplicate detection) and the watermark-GC stamp ride
-  // the wire; a default-constructed request keeps both zero.
-  Message out = RoundTrip(Wrap(CommitRequest{{1, 1}, true, {500, 1}, {480, 1}}));
+  // Commit ts (trimmed-duplicate detection) rides the wire; a
+  // default-constructed request keeps it zero.
+  Message out = RoundTrip(Wrap(CommitRequest{{1, 1}, true, {500, 1}}));
   const auto& p = std::get<CommitRequest>(out.payload);
   EXPECT_TRUE(p.commit);
   EXPECT_EQ(p.ts, (Timestamp{500, 1}));
-  EXPECT_EQ(p.oldest_inflight, (Timestamp{480, 1}));
   Message zero = RoundTrip(Wrap(CommitRequest{{1, 1}, false}));
   EXPECT_FALSE(std::get<CommitRequest>(zero.payload).ts.Valid());
   // Timers never cross the wire: a TimerFire frame does not decode, with or
@@ -273,11 +270,8 @@ std::vector<Message> SampleCorpus() {
   std::vector<Message> corpus;
   corpus.push_back(Wrap(GetRequest{{1, 2}, 77, "some-key"}));
   corpus.push_back(Wrap(GetReply{{1, 2}, 9, "k", std::string("binary\0data", 11), {55, 1}, true}));
-  {
-    ValidateRequest req{{3, 4}, {999, 3}, {{"a", {1, 0}}, {"b", {}}}, {{"c", "v1"}, {"d", ""}}};
-    req.oldest_inflight = {990, 3};  // Non-zero watermark stamp in the corpus.
-    corpus.push_back(Wrap(req));
-  }
+  corpus.push_back(Wrap(
+      ValidateRequest{{3, 4}, {999, 3}, {{"a", {1, 0}}, {"b", {}}}, {{"c", "v1"}, {"d", ""}}}));
   {
     ValidateReply reply{{3, 4}, TxnStatus::kValidatedAbort, 2, 7};
     reply.conflict_hash = 0xabcdef01;  // Non-zero abort-reason hash.
@@ -286,7 +280,7 @@ std::vector<Message> SampleCorpus() {
   }
   corpus.push_back(Wrap(AcceptRequest{{1, 1}, 3, true, {500, 1}, {{"r", {2, 1}}}, {{"k", "v"}}}));
   corpus.push_back(Wrap(AcceptReply{{1, 1}, 3, true, 0, 2}));
-  corpus.push_back(Wrap(CommitRequest{{1, 1}, true, {500, 1}, {480, 1}}));
+  corpus.push_back(Wrap(CommitRequest{{1, 1}, true, {500, 1}}));
   corpus.push_back(Wrap(EpochChangeRequest{4}));
   {
     EpochChangeAck ack;
@@ -382,7 +376,7 @@ TEST(SerializationTest, EncodingMatchesGoldenBytes) {
       // ValidateRequest
       "02" "030000000400000000000000e7030000000000000300000002000000010000006101000000000000"
       "00000000000100000062000000000000000000000000020000000100000063020000007631010000006400"
-      "00000000de0300000000000003000000",
+      "00000000",
       // ValidateReply
       "03" "03000000040000000000000002020000000700000000000000000000000000000001efcdab000000"
       "00020000001111000000000000640000000000000001000000222200000000000065000000000000000200"
@@ -393,7 +387,7 @@ TEST(SerializationTest, EncodingMatchesGoldenBytes) {
       // AcceptReply
       "05" "010000000100000000000000030000000000000001000000000200000000000000",
       // CommitRequest
-      "06" "01000000010000000000000001f40100000000000001000000e00100000000000001000000",
+      "06" "01000000010000000000000001f40100000000000001000000",
       // EpochChangeRequest
       "07" "0400000000000000",
       // EpochChangeAck

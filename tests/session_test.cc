@@ -42,7 +42,7 @@ class SessionFixture : public ::testing::Test {
   SessionFixture() : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_) {
     for (ReplicaId r = 0; r < 3; r++) {
       replicas_.push_back(std::make_unique<MeerkatReplica>(r, QuorumConfig::ForReplicas(3), 2,
-                                                           &transport_));
+                                                           &transport_, &time_source_));
     }
   }
 
@@ -213,8 +213,11 @@ TEST_F(SessionFixture, SteadyStateCommitAllocationsBounded) {
     plan.ops.push_back(Op::Rmw("k", "value"));
     ASSERT_EQ(RunTxn(*session, std::move(plan)), TxnResult::kCommit);
   };
-  for (int i = 0; i < 20; i++) {
-    commit_once();  // Warm-up: grows tables, rings and per-thread slabs.
+  // Warm-up: grows tables, rings and per-thread slabs. The trecord reaches
+  // its steady size only once the GC watermark trails the clock by a full
+  // horizon, so warm up for two horizons of virtual time.
+  while (sim_.now() < 2 * GcOptions().horizon_ns) {
+    commit_once();
   }
   constexpr int kCommits = 100;
   int64_t before = t_alloc_count;

@@ -322,7 +322,7 @@ TEST(TRecordTest, SnapshotRoundTripsThroughReplace) {
   EXPECT_EQ(other.Partition(0).Size(), 0u);
 }
 
-TEST(TRecordTest, TrimFinalizedSkipsMetricWritesWhenNothingTrims) {
+TEST(TRecordTest, TrimStepSkipsMetricWritesWhenNothingTrims) {
   const uint64_t before_trimmed = SnapshotMetrics().CounterValue("trecord.records_trimmed");
   const int64_t before_live = SnapshotMetrics().GaugeValue("trecord.live_records");
   TRecordPartition part;
@@ -331,7 +331,8 @@ TEST(TRecordTest, TrimFinalizedSkipsMetricWritesWhenNothingTrims) {
   rec.status = TxnStatus::kCommitted;
   // Watermark below every record: nothing trims, and the zero-trim pass must
   // not touch the counter or the gauge (hot maintenance loop, cold metrics).
-  EXPECT_EQ(part.TrimFinalized(Ts(50, 1)), 0u);
+  size_t cursor = 0;
+  EXPECT_EQ(part.TrimStep(Ts(50, 1), /*budget=*/16, &cursor).trimmed, 0u);
   EXPECT_EQ(SnapshotMetrics().CounterValue("trecord.records_trimmed"), before_trimmed);
   EXPECT_EQ(SnapshotMetrics().GaugeValue("trecord.live_records"), before_live + 1);
   part.Clear();  // Rebalance the global gauge for other tests.

@@ -4,6 +4,8 @@
 #ifndef MEERKAT_TESTS_TEST_UTIL_H_
 #define MEERKAT_TESTS_TEST_UTIL_H_
 
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -19,6 +21,22 @@
 #include "src/transport/udp_transport.h"
 
 namespace meerkat {
+
+// A clock a test sets by hand. Replicas built outside CreateSystem take one
+// so their GC watermark (clock − horizon) is read in the same time the
+// test's synthetic timestamps are stamped in; it stays where the test put it
+// (0: no watermark at all) until the test moves it. Atomic: a threaded
+// replica reads it from its worker thread.
+class TestClock : public TimeSource {
+ public:
+  explicit TestClock(uint64_t now = 0) : now_(now) {}
+  uint64_t NowNanos() override { return now_.load(std::memory_order_relaxed); }
+  void Set(uint64_t now) { now_.store(now, std::memory_order_relaxed); }
+  void Advance(uint64_t ns) { now_.fetch_add(ns, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> now_;
+};
 
 // Simulator-backed cluster of one system kind. Single-threaded and
 // deterministic: ideal for protocol-level assertions.

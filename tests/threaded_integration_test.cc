@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 
 #include "src/api/blocking_client.h"
+#include "src/common/dap_check.h"
 #include "src/protocol/replica.h"
 #include "src/protocol/session.h"
 #include "src/workload/driver.h"
@@ -110,7 +112,7 @@ TEST(EpochChangeUnderTrafficTest, TrafficResumesAfterChange) {
   QuorumConfig quorum = QuorumConfig::ForReplicas(3);
   std::vector<std::unique_ptr<MeerkatReplica>> replicas;
   for (ReplicaId r = 0; r < 3; r++) {
-    replicas.push_back(std::make_unique<MeerkatReplica>(r, quorum, 2, &transport));
+    replicas.push_back(std::make_unique<MeerkatReplica>(r, quorum, 2, &transport, &time_source));
     replicas.back()->LoadKey("hot", "0", Timestamp{1, 0});
   }
 
@@ -162,7 +164,23 @@ TEST(EpochChangeUnderTrafficTest, TrafficResumesAfterChange) {
   transport.Stop();
 }
 
-TEST(TrecordCheckpointTest, TrimFinalizedDropsOnlyOldFinalRecords) {
+// Checkpoint through the production trim path: one full-lap TrimStep per
+// partition with a watermark above `below`. The audit is suspended because
+// the caller stands in for every core at once (the cores are quiesced, as in
+// any maintenance window).
+size_t TrimAllFinalBelow(TRecord& trecord, Timestamp below) {
+  DapAuditSuspend suspend;
+  size_t trimmed = 0;
+  for (size_t core = 0; core < trecord.NumPartitions(); core++) {
+    size_t cursor = 0;
+    trimmed += trecord.Partition(static_cast<CoreId>(core))
+                   .TrimStep(below, /*budget=*/SIZE_MAX, &cursor)
+                   .trimmed;
+  }
+  return trimmed;
+}
+
+TEST(TrecordCheckpointTest, TrimStepDropsOnlyOldFinalRecords) {
   TRecord trecord(2);
   auto add = [&trecord](uint64_t seq, TxnStatus status, uint64_t time) {
     TxnRecord& rec = trecord.Partition(seq % 2).GetOrCreate(TxnId{1, seq});
@@ -175,7 +193,7 @@ TEST(TrecordCheckpointTest, TrimFinalizedDropsOnlyOldFinalRecords) {
   add(4, TxnStatus::kValidatedOk, 100);    // In-flight: never trimmed.
   add(5, TxnStatus::kAcceptCommit, 100);   // In-flight consensus state: kept.
 
-  EXPECT_EQ(trecord.TrimFinalizedAll(Timestamp{500, 9}), 2u);
+  EXPECT_EQ(TrimAllFinalBelow(trecord, Timestamp{500, 9}), 2u);
   EXPECT_EQ(trecord.TotalSize(), 3u);
   EXPECT_EQ(trecord.Partition(1).Find(TxnId{1, 1}), nullptr);
   EXPECT_EQ(trecord.Partition(0).Find(TxnId{1, 2}), nullptr);
@@ -190,7 +208,10 @@ TEST(TrecordCheckpointTest, TrimmedReplicaStillServesTraffic) {
   QuorumConfig quorum = QuorumConfig::ForReplicas(3);
   std::vector<std::unique_ptr<MeerkatReplica>> replicas;
   for (ReplicaId r = 0; r < 3; r++) {
-    replicas.push_back(std::make_unique<MeerkatReplica>(r, quorum, 2, &transport));
+    // The online GC is off so the checkpoint below is the only trimmer.
+    replicas.push_back(std::make_unique<MeerkatReplica>(
+        r, quorum, 2, &transport, &time_source, /*group_base=*/0, RetryPolicy(),
+        OverloadOptions(), GcOptions().WithEnabled(false)));
     replicas.back()->LoadKey("k", "0", Timestamp{1, 0});
   }
 
@@ -235,7 +256,7 @@ TEST(TrecordCheckpointTest, TrimmedReplicaStillServesTraffic) {
 
   // Checkpoint: every finalized record goes away; the store keeps the data.
   for (auto& replica : replicas) {
-    EXPECT_GT(replica->trecord().TrimFinalizedAll(Timestamp{UINT64_MAX, UINT32_MAX}), 0u);
+    EXPECT_GT(TrimAllFinalBelow(replica->trecord(), Timestamp{UINT64_MAX, UINT32_MAX}), 0u);
     EXPECT_EQ(replica->trecord().TotalSize(), 0u);
     EXPECT_EQ(replica->store().Read("k").value, "9");
   }

@@ -391,8 +391,23 @@ Message ClientMessage(uint32_t to, uint64_t tag) {
 
 class EndpointRuntimeTest : public ::testing::TestWithParam<Wire> {};
 
+// ProcessThreadCount once it has stopped changing: a joined thread's /proc
+// entry can outlive the join by a moment, so an earlier test's threads may
+// still be listed. Waits for five unchanged reads a millisecond apart, bounded
+// like the wait at the end of RunsOneThreadPerEndpoint.
+int SettledThreadCount() {
+  int count = ProcessThreadCount();
+  for (int i = 0, unchanged = 0; i < 1000 && unchanged < 5; i++) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int next = ProcessThreadCount();
+    unchanged = next == count ? unchanged + 1 : 0;
+    count = next;
+  }
+  return count;
+}
+
 TEST_P(EndpointRuntimeTest, RunsOneThreadPerEndpoint) {
-  const int before = ProcessThreadCount();
+  const int before = SettledThreadCount();
   ASSERT_GT(before, 0);
   std::unique_ptr<EndpointRuntime> transport = MakeRuntime(GetParam());
   EXPECT_EQ(ProcessThreadCount(), before) << "a transport with no endpoints runs a thread";

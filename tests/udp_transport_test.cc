@@ -244,15 +244,13 @@ TEST_P(UdpModeTest, FanoutWithDistinctTidsIsNotCollapsed) {
         return req;
       },
       [&](ReplicaId r) -> Payload {
-        ValidateRequest req{TxnId{9, 1}, Timestamp{10, 1}, sets};
-        req.oldest_inflight = Timestamp{5 + r, 1};
-        return req;
+        return ValidateRequest{TxnId{9, 1}, Timestamp{10 + r, 1}, sets};
       },
       [](ReplicaId r) -> Payload {
-        return CommitRequest{TxnId{9, 1}, true, Timestamp{10 + r, 1}, Timestamp{}};
+        return CommitRequest{TxnId{9, 1}, true, Timestamp{10 + r, 1}};
       },
       [](ReplicaId r) -> Payload {
-        return CommitRequest{TxnId{9, 1}, true, Timestamp{10, 1}, Timestamp{5 + r, 1}};
+        return CommitRequest{TxnId{9, 1}, r == 0, Timestamp{10, 1}};
       },
   };
   for (size_t c = 0; c < std::size(siblings); c++) {

@@ -116,7 +116,7 @@ ALLOC_RE = re.compile(
     r"|(?<!std::)(?<![\w.])make_unique\s*<|(?<!std::)(?<![\w.])make_shared\s*<")
 
 CROSS_PARTITION_CALLS_RE = re.compile(
-    r"\b(?:SnapshotAll|ReplaceAll|TrimFinalizedAll|ClearPendingAll|ClearAll|"
+    r"\b(?:SnapshotAll|ReplaceAll|ClearPendingAll|ClearAll|"
     r"ForEachCommitted)\s*\(")
 PARTITION_CALL_RE = re.compile(r"\bPartition\s*\(\s*([^()]*?)\s*\)")
 PARTITION_SELF_ARG_RE = re.compile(
