@@ -138,9 +138,13 @@ void CommitCoordinator::SendAccepts() {
 }
 
 void CommitCoordinator::BroadcastFinal(bool commit) {
-  // Asynchronous write-phase message; in the paper this piggybacks on the
-  // client's next request, which the simulator's cost model reflects by
-  // charging no extra round trip (the decision never blocks the client).
+  // Asynchronous write-phase message: the decision never blocks the client.
+  // In the paper it piggybacks on the client's next request. The UDP wire
+  // does that: sent from an endpoint thread's delivery, these COMMITs are
+  // held until that thread's next send and ride ahead of the request for
+  // the same replica core in one datagram (Transport::Flush sends what is
+  // left). The threaded wire sends them at once, and the simulator's cost
+  // model charges them no extra round trip.
   Message batch[kFanoutChunk];
   size_t k = 0;
   for (ReplicaId r = 0; r < quorum_.n; r++) {

@@ -304,6 +304,12 @@ void MeerkatSession::FinishTxn(const TxnOutcome& outcome) {
   if (cb) {
     cb(outcome);
   }
+  // The transport may still hold this decision's COMMITs (the UDP wire
+  // corks them for this thread's next send, which a callback that starts
+  // the next transaction has just made). Flush under mu_: a request this
+  // session sends later from another thread waits for mu_ in ExecuteAsync,
+  // so it cannot reach a replica core ahead of the COMMIT.
+  transport_->Flush();
 }
 
 bool MeerkatSession::DeadlineExceeded() const {

@@ -21,6 +21,9 @@ const MetricId kRecordsErased = MetricsRegistry::Counter("trecord.records_erased
 const MetricId kRecordsTrimmed = MetricsRegistry::Counter("trecord.records_trimmed");
 const MetricId kRecordsCleared = MetricsRegistry::Counter("trecord.records_cleared");
 const MetricId kLiveRecords = MetricsRegistry::Gauge("trecord.live_records");
+// Records the GC's trim steps examined, trimmed or not: against
+// trecord.records_trimmed, the cost of walking the partition per reclaim.
+const MetricId kRecordsScanned = MetricsRegistry::Counter("gc.records_scanned");
 
 }  // namespace
 
@@ -121,6 +124,7 @@ ZCP_SLOW_PATH TRecordPartition::TrimStepResult TRecordPartition::TrimStep(
   } while (b != start && result.scanned < budget);
   *cursor = b;
   result.wrapped = b == start;
+  MetricIncr(kRecordsScanned, result.scanned);
   if (result.trimmed > 0) {
     MetricIncr(kRecordsTrimmed, result.trimmed);
     MetricGaugeAdd(kLiveRecords, -static_cast<int64_t>(result.trimmed));

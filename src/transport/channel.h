@@ -2,11 +2,15 @@
 // producer threads, one consumer — the endpoint's own thread. On the threaded
 // wire the mailbox is also the endpoint's inbox.
 //
-// A mutex + deque + condvar channel shaped for that consumer's loop, which
+// A mutex + buffer + condvar channel shaped for that consumer's loop, which
 // drains, probes, then parks until its next deadline:
 //   * PopAll drains the whole backlog under ONE lock acquisition, so a
 //     consumer that fell behind pays one mutex round-trip for N messages
-//     instead of N.
+//     instead of N. The drain is all-or-nothing, so the queue is a plain
+//     vector that PopAll swaps with the consumer's (cleared) one: O(1) under
+//     the lock, and both buffers keep their capacity, so at steady state a
+//     push allocates nothing. (A deque would malloc a node on the producer's
+//     thread every few pushes and free it on the consumer's.)
 //   * Empty reads only the `approx_size_` atomic, so the consumer's probe
 //     (spin_then_park.h) takes no lock and writes no cache line.
 //   * Producers skip the condvar notify entirely when no consumer is parked
@@ -24,7 +28,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -101,10 +104,7 @@ class Channel {
   size_t PopAll(std::vector<T>& out) EXCLUDES(mu_) {
     out.clear();
     MutexLock lock(mu_);
-    while (!items_.empty()) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
+    items_.swap(out);
     approx_size_.store(0, std::memory_order_release);
     return out.size();
   }
@@ -140,7 +140,9 @@ class Channel {
  private:
   Mutex mu_;
   CondVar cv_;
-  std::deque<T> items_ GUARDED_BY(mu_);
+  // Pushed items in FIFO order; grows, never shrinks (PopAll swaps it with
+  // the consumer's buffer rather than freeing it).
+  std::vector<T> items_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;
   int waiters_ GUARDED_BY(mu_) = 0;  // Consumers parked (or about to park).
 

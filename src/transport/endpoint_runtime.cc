@@ -19,6 +19,9 @@ const MetricId kDrainBatchSize = MetricsRegistry::Histogram("transport.drain_bat
 // itself skips the mailbox.
 thread_local const void* t_owner = nullptr;
 
+// The runtime whose Deliver is running a receiver on this thread, if any.
+thread_local const EndpointRuntime* t_delivering = nullptr;
+
 constexpr uint64_t kClientKeyOccupied = 1ull << 32;
 
 size_t ClientSlot(uint32_t client_id, size_t probe) {
@@ -318,6 +321,7 @@ bool EndpointRuntime::FireDueTimers(Endpoint* ep, std::vector<Message>* batch) {
 
 void EndpointRuntime::Deliver(TransportReceiver* receiver, std::vector<Message>* msgs) {
   if (receiver != nullptr) {
+    t_delivering = this;
     // Governor state is setup-time configuration, re-read per delivery so
     // options installed after registration but before load are honored.
     const BatchOptions opts = batch_options();
@@ -334,9 +338,13 @@ void EndpointRuntime::Deliver(TransportReceiver* receiver, std::vector<Message>*
         receiver->ReceiveBatch(msgs->data() + off, chunk);
       }
     }
+    Flush();
+    t_delivering = nullptr;
   }
   msgs->clear();
 }
+
+bool EndpointRuntime::DeliveringOnThisThread() const { return t_delivering == this; }
 
 // --- Shutdown and test support ----------------------------------------------
 

@@ -152,8 +152,13 @@ class EndpointRuntime : public Transport {
 
   // Hands msgs to `receiver` (nullptr: a detached endpoint, drop them) in
   // governor chunks of ReceiveBatch, or per message with batching off, then
-  // clears msgs. The caller holds the endpoint's busy bracket.
+  // Flushes and clears msgs. The caller holds the endpoint's busy bracket, so
+  // whatever the wire held back during the delivery leaves inside it.
   void Deliver(TransportReceiver* receiver, std::vector<Message>* msgs);
+
+  // True on this runtime's endpoint thread while Deliver runs its receiver:
+  // the window in which a wire may hold sends back until Flush.
+  bool DeliveringOnThisThread() const;
 
   bool stopping() const { return stopping_.load(std::memory_order_acquire); }
 

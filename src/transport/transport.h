@@ -140,6 +140,15 @@ class Transport {
     }
   }
 
+  // Puts on the wire whatever this thread's sends the transport still holds.
+  // The UDP wire holds the write-phase COMMITs an endpoint thread sends during
+  // a delivery, so they ride in the same sendmmsg as that thread's next
+  // request, and releases the rest when the delivery ends (udp_transport.h).
+  // A sender that hands its decision to code that may send from another
+  // thread flushes first: MeerkatSession does so after each completion
+  // callback. A no-op on every transport that holds nothing.
+  virtual void Flush() {}
+
   // Deliver TimerFire{timer_id} to `to` after `delay_ns` (virtual or real
   // time depending on the runtime). Timers are how receivers implement
   // retransmission and failure detection without blocking. The timer fires

@@ -14,6 +14,7 @@
 #include <cstdarg>
 #include <cstring>
 #include <ctime>
+#include <variant>
 
 #include "src/common/metrics.h"
 #include "src/transport/serialization.h"
@@ -148,6 +149,33 @@ struct SendSlab {
 };
 
 thread_local SendSlab t_send_slab;
+
+// The write-phase cork: COMMITs an endpoint thread sent during the delivery
+// it is running, held for that thread's next send or the delivery's end.
+// Thread-local like the slab: a thread delivers for one endpoint at a time.
+// Every vector keeps its capacity, so holding and merging allocate nothing
+// at steady state.
+struct Cork {
+  std::vector<Message> held;
+  // Staging for one merged send: where each held COMMIT rides, and the order
+  // WireSend stages.
+  std::vector<size_t> ride;
+  std::vector<const Message*> order;
+};
+
+thread_local Cork t_cork;
+
+bool IsCommit(const Message& m) { return std::holds_alternative<CommitRequest>(m.payload); }
+
+uint32_t SteerWordFor(const Message& m) {
+  return m.dst.kind == Address::Kind::kReplica ? m.core : 0;
+}
+
+// True when a and b land on the same endpoint socket: WireSend packs a run
+// of such messages into one MsgBatch datagram.
+bool SameEndpoint(const Message& a, const Message& b) {
+  return a.dst == b.dst && SteerWordFor(a) == SteerWordFor(b);
+}
 
 // True when two payloads are byte-identical on the wire, decided by O(1)
 // identity checks rather than deep comparison: fan-out siblings share their
@@ -310,6 +338,21 @@ uint16_t UdpTransport::LookupPort(const Address& addr, CoreId core) const {
 // --- Send path -------------------------------------------------------------
 
 void UdpTransport::Transmit(Message* msgs, size_t n) {
+  if (DeliveringOnThisThread()) {
+    Cork& cork = t_cork;
+    if (std::all_of(msgs, msgs + n, IsCommit)) {
+      // A decision's write phase: nothing waits on it, so it waits for the
+      // next send instead of paying a sendmmsg of its own.
+      for (size_t i = 0; i < n; i++) {
+        cork.held.push_back(std::move(msgs[i]));
+      }
+      return;
+    }
+    if (!cork.held.empty()) {
+      SendWithHeld(msgs, n);
+      return;
+    }
+  }
   // One WireSend per sendmmsg batch: a whole quorum fan-out is one syscall.
   const Message* staged[kSendBatch];
   for (size_t off = 0; off < n; off += kSendBatch) {
@@ -319,6 +362,43 @@ void UdpTransport::Transmit(Message* msgs, size_t n) {
     }
     WireSend(staged, k);
   }
+}
+
+void UdpTransport::Flush() {
+  if (DeliveringOnThisThread() && !t_cork.held.empty()) {
+    SendWithHeld(nullptr, 0);
+  }
+}
+
+void UdpTransport::SendWithHeld(Message* msgs, size_t n) {
+  Cork& cork = t_cork;
+  // Each held COMMIT rides just ahead of the span's first message for the
+  // same endpoint, so WireSend packs the two into one MsgBatch and the
+  // replica core applies the decision before it serves the request; the
+  // other COMMITs follow the span in the same sendmmsg.
+  cork.ride.clear();
+  for (const Message& held : cork.held) {
+    size_t at = 0;
+    while (at < n && !SameEndpoint(held, msgs[at])) {
+      at++;
+    }
+    cork.ride.push_back(at);
+  }
+  cork.order.clear();
+  for (size_t i = 0; i <= n; i++) {
+    for (size_t h = 0; h < cork.held.size(); h++) {
+      if (cork.ride[h] == i) {
+        cork.order.push_back(&cork.held[h]);
+      }
+    }
+    if (i < n) {
+      cork.order.push_back(&msgs[i]);
+    }
+  }
+  for (size_t off = 0; off < cork.order.size(); off += kSendBatch) {
+    WireSend(cork.order.data() + off, std::min(kSendBatch, cork.order.size() - off));
+  }
+  cork.held.clear();
 }
 
 ZCP_FAST_PATH void UdpTransport::WireSend(const Message* const* msgs, size_t n) {
@@ -342,7 +422,7 @@ ZCP_FAST_PATH void UdpTransport::WireSend(const Message* const* msgs, size_t n) 
     uint32_t staged_prev_steer = 0;
     for (; i < n && k < kSendBatch; i++) {
       const Message& m = *msgs[i];
-      uint32_t steer = m.dst.kind == Address::Kind::kReplica ? m.core : 0;
+      uint32_t steer = SteerWordFor(m);
       uint16_t port = LookupPort(m.dst, steer);
       if (port == 0) {
         MetricIncr(kUnroutableDrops);
@@ -362,8 +442,7 @@ ZCP_FAST_PATH void UdpTransport::WireSend(const Message* const* msgs, size_t n) 
         size_t frame_bytes = kSteerBytes + 1 + 4 + 4 + EncodedMessageSize(m);
         while (i + run < n && run < opts.max_messages && frame_bytes <= byte_cap) {
           const Message& next = *msgs[i + run];
-          uint32_t next_steer = next.dst.kind == Address::Kind::kReplica ? next.core : 0;
-          if (!(next.dst == m.dst) || next_steer != steer) {
+          if (!SameEndpoint(next, m)) {
             break;
           }
           const size_t add = 4 + EncodedMessageSize(next);

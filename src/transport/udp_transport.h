@@ -27,6 +27,16 @@
 // senders encode into per-thread reusable buffers (WireWriter::Reset /
 // EncodeMessageInto) and flush a whole fan-out with one sendmmsg; endpoint
 // threads recvmmsg into a pooled receive slab and decode straight out of it.
+// The write phase is corked: the COMMITs an endpoint thread sends while it
+// delivers (the broadcast of a decision made inside Receive) are judged by
+// the fault injector at the call as usual, then held until that thread's next
+// send. There each COMMIT rides ahead of the request for the same replica
+// core in one MsgBatch datagram, and the others follow in the same sendmmsg,
+// so the decision costs the application no syscall of its own. Flush, and the
+// end of the delivery (still inside the `busy` bracket), send whatever is
+// left. The threaded wire sends at once: a push there is no syscall, so
+// holding a COMMIT saves nothing and only delays its writes (DESIGN.md §5).
+//
 // An endpoint's probe is a non-blocking drain of its socket; it parks in
 // ppoll() with a nanosecond timeout at its next timer deadline, and a mailbox
 // push or Stop wakes it with a steer-only datagram. Timers never touch the
@@ -72,6 +82,10 @@ class UdpTransport : public EndpointRuntime {
   // registered).
   bool reuseport_steering() const;
 
+  // Sends the COMMITs this thread holds, when it is one of this transport's
+  // endpoint threads inside a delivery; elsewhere nothing is held.
+  void Flush() override;
+
   // The UDP port an endpoint is bound to, 0 if unregistered. Benches use
   // this to aim raw comparison traffic at a live endpoint.
   uint16_t PortOfForTesting(const Address& addr, CoreId core) const;
@@ -92,6 +106,9 @@ class UdpTransport : public EndpointRuntime {
   bool WireIdle(Endpoint* ep) override;
   void CloseWire(Endpoint* ep) override;
 
+  // Sends msgs[0..n) with this thread's held COMMITs merged in, and empties
+  // the cork.
+  void SendWithHeld(Message* msgs, size_t n);
   void WireSend(const Message* const* msgs, size_t n);
   // Receives and dispatches until the socket reports EAGAIN; returns the
   // number of datagrams taken. `inbox` is the reusable decode staging: every

@@ -3,7 +3,8 @@
 // FIFO-per-producer ordering guarantee through PopAll, and the liveness of
 // spin-then-park consumers that outnumber the CPUs. Consumers run the
 // endpoint loop's sequence (endpoint_runtime.h) reduced to one channel:
-// drain, probe for the probe window, park. Run these under ThreadSanitizer
+// drain, probe for the probe window, park. One test counts operator new
+// over steady-state push/drain cycles. Run these under ThreadSanitizer
 // (see .github/workflows/ci.yml) to validate the lock-free probe atomic.
 
 #include <gtest/gtest.h>
@@ -12,12 +13,32 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
 #include "src/transport/channel.h"
 #include "src/transport/spin_then_park.h"
+
+// Thread-local allocation counter wired into global operator new (same
+// pattern as the UDP zero-allocation audit).
+namespace {
+thread_local int64_t t_alloc_count = 0;
+}  // namespace
+
+__attribute__((noinline)) void* operator new(size_t size) {
+  t_alloc_count++;
+  void* p = std::malloc(size);
+  if (p == nullptr) {
+    throw std::bad_alloc();
+  }
+  return p;
+}
+
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept { std::free(p); }
 
 namespace meerkat {
 namespace {
@@ -88,6 +109,54 @@ TEST(ChannelStressTest, MultiProducerBatchDrainDeliversEverythingInOrder) {
   // whenever the consumer ever falls behind. (>= 1 batch always holds.)
   EXPECT_GE(batches, 1u);
   EXPECT_LE(batches, total);
+}
+
+// A mailbox entry's size (EndpointRuntime::Pending is 192 bytes).
+struct WideItem {
+  uint64_t seq = 0;
+  char pad[184] = {};
+};
+
+// Once the queue and the consumer's staging vector have grown to the largest
+// backlog, pushing (one at a time and as a span) and draining allocate
+// nothing. The counter is thread-local, so playing both roles on one thread
+// sees both sides' allocations.
+TEST(ChannelStressTest, SteadyStatePushDrainAllocatesNothing) {
+  Channel<WideItem> ch;
+  std::vector<WideItem> out;
+  WideItem span[4];
+  uint64_t next = 0;
+  uint64_t expect = 0;
+  bool in_order = true;
+  // One cycle: a backlog of 1-8 entries, half pushed singly, half as a span,
+  // then one drain.
+  auto cycle = [&](int c) {
+    const int singles = c % 5;
+    const int spanned = c % 4 + 1;
+    for (int i = 0; i < singles; i++) {
+      WideItem item;
+      item.seq = next++;
+      ASSERT_TRUE(ch.Push(item));
+    }
+    for (int i = 0; i < spanned; i++) {
+      span[i].seq = next++;
+    }
+    ASSERT_EQ(ch.PushAll(span, spanned), static_cast<size_t>(spanned));
+    ASSERT_EQ(ch.PopAll(out), static_cast<size_t>(singles + spanned));
+    for (const WideItem& item : out) {
+      in_order = in_order && item.seq == expect++;
+    }
+  };
+  for (int c = 0; c < 64; c++) {
+    cycle(c);
+  }
+  constexpr int kCycles = 10'000;
+  const int64_t before = t_alloc_count;
+  for (int c = 0; c < kCycles; c++) {
+    cycle(c);
+  }
+  EXPECT_EQ(t_alloc_count - before, 0) << "over " << kCycles << " push/drain cycles";
+  EXPECT_TRUE(in_order);
 }
 
 TEST(ChannelStressTest, PushCloseRaceNeverLosesAcceptedItems) {

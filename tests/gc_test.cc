@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -81,6 +82,24 @@ TEST(TrimStepTest, BudgetBoundsEachStepAndCursorResumes) {
   }
   EXPECT_EQ(part.Size(), 0u);
   EXPECT_GE(steps, kRecords / 64) << "budget was not actually bounding the steps";
+}
+
+// A step whose budget covers the partition examines every record once,
+// trimmed or not, and exports the count as gc.records_scanned.
+TEST(TrimStepTest, ScansEveryLiveRecordWithinBudget) {
+  TRecord trecord(1);
+  TRecordPartition& part = trecord.Partition(0);
+  constexpr uint32_t kRecords = 40;
+  for (uint32_t i = 0; i < kRecords; i++) {
+    // Every fourth record is below W and final; the rest stay.
+    AddRecord(part, {2, i + 1}, {i % 4 == 0 ? 10u : 500u + i, 2}, TxnStatus::kCommitted);
+  }
+  const uint64_t before = SnapshotMetrics().CounterValue("gc.records_scanned");
+  size_t cursor = 0;
+  auto res = part.TrimStep(Timestamp{100, 0}, /*budget=*/kRecords, &cursor);
+  EXPECT_EQ(res.scanned, kRecords);
+  EXPECT_EQ(res.trimmed, kRecords / 4);
+  EXPECT_EQ(SnapshotMetrics().CounterValue("gc.records_scanned") - before, kRecords);
 }
 
 TEST(TrimStepTest, ReportsOrphansWithoutTrimmingThem) {
@@ -436,6 +455,7 @@ TEST(GcSoakTest, TrecordStaysBoundedOverManyTransactions) {
   constexpr int kTxns = 400;
   int committed = 0;
   size_t peak = 0;
+  const MetricsSnapshot before = SnapshotMetrics();
   for (int i = 0; i < kTxns; i++) {
     TxnPlan plan;
     plan.ops.push_back(Op::Put("key" + std::to_string(i % 8), std::to_string(i)));
@@ -465,6 +485,20 @@ TEST(GcSoakTest, TrecordStaysBoundedOverManyTransactions) {
   }
   EXPECT_GT(trim_passes, 0u);
   EXPECT_EQ(DapAudit::violations(), 0u) << "GC broke data-access parallelism";
+
+  // What each reclaimed record cost the walk (EXPERIMENTS.md, GC soak).
+  const MetricsSnapshot after = SnapshotMetrics();
+  const uint64_t scanned = after.CounterValue("gc.records_scanned") -
+                           before.CounterValue("gc.records_scanned");
+  const uint64_t trimmed = after.CounterValue("trecord.records_trimmed") -
+                           before.CounterValue("trecord.records_trimmed");
+  ASSERT_GT(trimmed, 0u);
+  EXPECT_GE(scanned, trimmed);
+  RecordProperty("records_scanned", std::to_string(scanned));
+  RecordProperty("records_trimmed", std::to_string(trimmed));
+  std::printf("gc soak: %llu records scanned, %llu trimmed (%.2f scanned per trim)\n",
+              static_cast<unsigned long long>(scanned), static_cast<unsigned long long>(trimmed),
+              static_cast<double>(scanned) / static_cast<double>(trimmed));
 }
 
 // --- The watermark under client crashes and client counts ------------------

@@ -1,13 +1,16 @@
 // Session-level behaviour tests: execute-phase mechanics (read-your-writes,
 // read caching, transforms), retry/timeout behaviour under faults, stats
 // accounting, and an allocation audit of the commit path — all under the
-// deterministic simulator.
+// deterministic simulator — and the order of the write phase, the completion
+// callback and the transport flush, on a recording transport.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "src/protocol/replica.h"
 #include "src/protocol/session.h"
@@ -228,6 +231,66 @@ TEST_F(SessionFixture, SteadyStateCommitAllocationsBounded) {
   RecordProperty("allocs_per_commit", std::to_string(per_commit));
   std::printf("allocs per commit: %.2f\n", per_commit);
   EXPECT_LE(per_commit, kAllocsPerCommitBound);
+}
+
+// Logs, in order, each COMMIT fan-out, each Flush and (through the test's
+// callback) each completion, with whether it happened inside a Receive.
+class WritePhaseLog : public CapturingTransport {
+ public:
+  void SendMany(Message* msgs, size_t n) override {
+    if (n > 0 && std::holds_alternative<CommitRequest>(msgs[0].payload)) {
+      Note("commit");
+    }
+    CapturingTransport::SendMany(msgs, n);
+  }
+  void Flush() override { Note("flush"); }
+  void Note(const std::string& what) {
+    events.push_back(what + (in_receive ? " in Receive" : " outside Receive"));
+  }
+
+  bool in_receive = false;
+  std::vector<std::string> events;
+};
+
+// The session hands its decision's COMMITs to the transport before the
+// application's callback runs, and flushes the transport after it, both in
+// the Receive that decided: a transport may hold the COMMITs for the
+// callback's next request, and the flush sends them before the session lock
+// lets another thread send.
+TEST(SessionCorkTest, CommitPrecedesTheCallbackAndFlushFollowsIt) {
+  WritePhaseLog transport;
+  TestClock clock(1'000'000);
+  SessionOptions options;
+  options.quorum = QuorumConfig::ForReplicas(3);
+  MeerkatSession session(1, &transport, &clock, options, 11);
+
+  TxnPlan plan;
+  plan.ops.push_back(Op::Put("k", "v"));
+  std::optional<TxnResult> result;
+  session.ExecuteAsync(std::move(plan), [&](const TxnOutcome& o) {
+    transport.Note("callback");
+    result = o.result;
+  });
+  ASSERT_EQ(transport.Count<ValidateRequest>(), 3u);
+  for (ReplicaId r = 0; r < 3; r++) {
+    Message reply;
+    reply.src = Address::Replica(r);
+    reply.dst = Address::Client(1);
+    ValidateReply vote;
+    vote.tid = session.last_tid();
+    vote.status = TxnStatus::kValidatedOk;
+    vote.from = r;
+    reply.payload = vote;
+    transport.in_receive = true;
+    session.Receive(std::move(reply));
+    transport.in_receive = false;
+  }
+
+  ASSERT_EQ(result, TxnResult::kCommit);
+  EXPECT_EQ(transport.Count<CommitRequest>(), 3u);
+  const std::vector<std::string> expected = {"commit in Receive", "callback in Receive",
+                                             "flush in Receive"};
+  EXPECT_EQ(transport.events, expected);
 }
 
 }  // namespace

@@ -4,10 +4,16 @@
 // kinds must stay serializable, survive genuine + injected datagram loss,
 // and (via tests/zcp_conformance.h) produce zero DAP violations while doing
 // so — the wire runtime preserves the same zero-coordination structure as
-// the in-process runtimes.
+// the in-process runtimes. The UdpCorkTest suite pins the write-phase cork:
+// a decision's COMMITs ride with the client's next request, and nothing the
+// client sends afterwards overtakes them.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
+#include <future>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -171,6 +177,152 @@ TEST(UdpFallbackModeTest, DistinctPortsServeSerializableTraffic) {
   EXPECT_FALSE(h.transport().reuseport_steering());
 
   RunWorkloadOverUdp(h, /*num_clients=*/3, /*duration_ms=*/200, "distinct_ports");
+}
+
+// --- The write-phase cork -----------------------------------------------
+
+// Counts of a closed loop's outcomes.
+struct LoopTally {
+  int committed = 0;
+  int aborted = 0;
+  int failed = 0;
+};
+
+// A closed loop's state, shared with the callbacks in flight so a late one
+// never outlives it.
+struct CallbackLoop {
+  ClientSession* session = nullptr;
+  int n = 0;
+  std::function<TxnPlan(int)> make;
+  LoopTally tally;
+  std::promise<void> finished;
+};
+
+void StartFromLoop(const std::shared_ptr<CallbackLoop>& loop, int t) {
+  loop->session->ExecuteAsync(loop->make(t), [loop, t](const TxnOutcome& o) {
+    loop->tally.committed += o.committed() ? 1 : 0;
+    loop->tally.aborted += o.result == TxnResult::kAbort ? 1 : 0;
+    loop->tally.failed += o.result == TxnResult::kFailed ? 1 : 0;
+    if (t < loop->n) {
+      StartFromLoop(loop, t + 1);
+    } else {
+      loop->finished.set_value();
+    }
+  });
+}
+
+// Runs plans made by `make(t)` for t = 1..n back to back on `session`, each
+// started from the previous one's completion callback — the client's endpoint
+// thread, inside the delivery that decided the previous transaction. Fails
+// the test if the loop stalls (no retries: a lost datagram stops it).
+LoopTally RunFromCallbacks(ClientSession& session, int n, std::function<TxnPlan(int)> make) {
+  auto loop = std::make_shared<CallbackLoop>();
+  loop->session = &session;
+  loop->n = n;
+  loop->make = std::move(make);
+  std::future<void> finished = loop->finished.get_future();
+  StartFromLoop(loop, 1);
+  if (finished.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "closed loop stalled";
+    return LoopTally{};
+  }
+  return loop->tally;
+}
+
+// Reads "k", writes it back plus one.
+TxnPlan IncrementPlan() {
+  TxnPlan plan;
+  plan.ops.push_back(
+      Op::RmwFn("k", [](const std::string& v) { return std::to_string(std::stoll(v) + 1); }));
+  return plan;
+}
+
+uint64_t SentDatagrams() { return SnapshotMetrics().CounterValue("udp.sent_datagrams"); }
+
+// Every increment reads "k" from a random replica right after the previous
+// increment decided. The previous COMMIT rides ahead of that GET in one
+// datagram, so the replica applies it first: no read is stale and nothing
+// aborts. Per transaction the wire carries the GET and its reply, three
+// VALIDATEs and three replies, and two COMMIT datagrams (the third shares the
+// next GET's); the last transaction's three leave at the session's Flush:
+// 10 per transaction plus one, against 11 with every COMMIT on its own.
+TEST(UdpCorkTest, CommitRidesAheadOfTheNextGetInOneDatagram) {
+  constexpr int kTxns = 200;
+  // Snapshot while no endpoint thread records (metrics.h): before the
+  // harness starts any, and after Stop.
+  const uint64_t before = SentDatagrams();
+  UdpHarness h(DefaultOptions(SystemKind::kMeerkat, /*cores=*/1));
+  h.system().Load("k", "0");
+  auto session = h.MakeSession(1);
+
+  const LoopTally tally = RunFromCallbacks(*session, kTxns, [](int) { return IncrementPlan(); });
+  h.transport().DrainForTesting();
+  h.transport().Stop();
+  const uint64_t sent = SentDatagrams() - before;
+
+  EXPECT_EQ(tally.committed, kTxns);
+  EXPECT_EQ(tally.aborted, 0) << "a GET overtook the COMMIT it should have followed";
+  EXPECT_EQ(tally.failed, 0);
+  for (ReplicaId r = 0; r < 3; r++) {
+    EXPECT_EQ(h.system().ReadAtReplica(r, "k").value, std::to_string(kTxns)) << "replica " << r;
+  }
+  EXPECT_EQ(sent, 10u * kTxns + 1);
+}
+
+// The same increments from an application thread, through BlockingClient:
+// the callback wakes that thread, whose next GET leaves from its own socket.
+// The session flushes the held COMMITs before it releases its lock, and
+// ExecuteAsync waits for that lock, so the GET still cannot overtake them.
+TEST(UdpCorkTest, BlockingClientNextReadSeesEveryCommit) {
+  constexpr int kTxns = 200;
+  UdpHarness h(DefaultOptions(SystemKind::kMeerkat, /*cores=*/1));
+  h.system().Load("k", "0");
+  BlockingClient client(h.system(), 1);
+
+  int committed = 0;
+  int aborted = 0;
+  for (int t = 0; t < kTxns; t++) {
+    const TxnOutcome outcome = client.Execute(IncrementPlan());
+    committed += outcome.committed() ? 1 : 0;
+    aborted += outcome.result == TxnResult::kAbort ? 1 : 0;
+  }
+  EXPECT_EQ(committed, kTxns);
+  EXPECT_EQ(aborted, 0) << "a GET overtook a COMMIT the session had not flushed";
+  h.transport().DrainForTesting();
+  for (ReplicaId r = 0; r < 3; r++) {
+    EXPECT_EQ(h.system().ReadAtReplica(r, "k").value, std::to_string(kTxns)) << "replica " << r;
+  }
+}
+
+// Faults are judged per logical COMMIT when the coordinator sends it, not
+// when the cork releases it: dropping the 8th COMMIT loses exactly
+// transaction 3's COMMIT to replica 1 (fan-outs go to replicas 0, 1, 2 in
+// order), and every other COMMIT, held and merged or not, lands.
+TEST(UdpCorkTest, DropNthCommitHitsThatLogicalCommit) {
+  constexpr int kTxns = 12;
+  constexpr uint64_t kNth = 8;
+  SystemOptions options = DefaultOptions(SystemKind::kMeerkat, /*cores=*/1);
+  options.WithFaultPlan(FaultPlan().DropNth(MsgKind::kCommitRequest, kNth));
+  UdpHarness h(options);
+  auto session = h.MakeSession(1);
+
+  // Blind writes of distinct keys: VALIDATE fan-outs carry the held COMMITs.
+  const LoopTally tally = RunFromCallbacks(*session, kTxns, [](int t) {
+    TxnPlan plan;
+    plan.ops.push_back(Op::Put("key-" + std::to_string(t), "v"));
+    return plan;
+  });
+  h.transport().DrainForTesting();
+
+  EXPECT_EQ(tally.committed, kTxns);
+  EXPECT_EQ(h.transport().fault_injector()->rule_matches(0), 3u * kTxns);
+  for (int t = 1; t <= kTxns; t++) {
+    for (ReplicaId r = 0; r < 3; r++) {
+      const bool dropped = static_cast<uint64_t>(3 * (t - 1) + r + 1) == kNth;
+      EXPECT_EQ(h.system().ReadAtReplica(r, "key-" + std::to_string(t)).found, !dropped)
+          << "transaction " << t << " at replica " << r;
+    }
+  }
 }
 
 }  // namespace

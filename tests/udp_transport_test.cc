@@ -2,9 +2,9 @@
 // both steering modes), sendmmsg fan-out batching, fault injection,
 // spin-then-park endpoint threads (stop and pause), the endpoint directory's
 // range guards on both real-clock wires, and the steady-state zero-allocation
-// guarantee of the encode/send path. Timers are covered in both steering
-// modes here, and with the rest of the shared endpoint runtime in
-// transport_test.cc.
+// guarantee of the encode/send path, the write-phase cork included. Timers
+// are covered in both steering modes here, and with the rest of the shared
+// endpoint runtime in transport_test.cc.
 
 #include "src/transport/udp_transport.h"
 
@@ -421,6 +421,101 @@ TEST_P(UdpModeTest, ZeroAllocationsPerMessageAtSteadyState) {
   for (ReplicaId r = 0; r < 3; r++) {
     EXPECT_TRUE(receivers[r].WaitForCount(64 + kIters)) << "replica " << r;
   }
+}
+
+// An endpoint thread that, inside each delivery, sends a COMMIT fan-out
+// (held by the cork), a GET to one of the replicas (the matching COMMIT
+// rides with it, the other two follow), and a second fan-out that it then
+// Flushes: the client's write phase and next request, as the session sends
+// them. Counts its own thread's allocations across those sends.
+class CorkingClient : public TransportReceiver {
+ public:
+  explicit CorkingClient(UdpTransport* transport) : transport_(transport) {}
+
+  void Receive(Message&& msg) override {
+    const uint64_t seq = std::get<GetReply>(msg.payload).req_seq;
+    const int64_t before = t_alloc_count;
+    FillCommits(seq);
+    transport_->SendMany(commits_, 3);
+    transport_->Send(MakeGet(7, Address::Replica(static_cast<ReplicaId>(seq % 3)), 0, seq, "k"));
+    FillCommits(seq + 1);
+    transport_->SendMany(commits_, 3);
+    transport_->Flush();
+    allocs_.fetch_add(t_alloc_count - before, std::memory_order_relaxed);
+    delivered_.fetch_add(1, std::memory_order_release);
+  }
+
+  int64_t allocs() const { return allocs_.load(std::memory_order_relaxed); }
+  uint64_t delivered() const { return delivered_.load(std::memory_order_acquire); }
+
+ private:
+  void FillCommits(uint64_t seq) {
+    for (ReplicaId r = 0; r < 3; r++) {
+      commits_[r].src = Address::Client(7);
+      commits_[r].dst = Address::Replica(r);
+      commits_[r].core = 0;
+      commits_[r].payload = CommitRequest{TxnId{7, seq}, true, Timestamp{seq, 7}};
+    }
+  }
+
+  UdpTransport* const transport_;
+  Message commits_[3];
+  std::atomic<int64_t> allocs_{0};
+  std::atomic<uint64_t> delivered_{0};
+};
+
+// The zero-allocation guarantee covers the cork: holding COMMITs, merging
+// them into the next request's sendmmsg and flushing the rest allocate
+// nothing on the endpoint thread once its buffers are warm. Per delivery the
+// wire carries 6 datagrams for 7 messages: the GET shares one with its
+// replica's COMMIT.
+TEST_P(UdpModeTest, CorkedCommitsAllocateNothingAtSteadyState) {
+  // Metric snapshots are race-free only while no endpoint thread records:
+  // before the transport starts any, and after Stop.
+  const uint64_t sent_before = SnapshotMetrics().CounterValue("udp.sent_datagrams");
+  UdpTransport t(Opts());
+  RecordingReceiver replicas[3];
+  for (ReplicaId r = 0; r < 3; r++) {
+    t.RegisterReplica(r, 0, &replicas[r]);
+  }
+  CorkingClient client(&t);
+  t.RegisterClient(7, &client);
+
+  // Sends delivery `seq` to the client and waits until it has run.
+  auto kick = [&](uint64_t seq) {
+    Message msg;
+    msg.src = Address::Client(8);
+    msg.dst = Address::Client(7);
+    msg.payload = GetReply{TxnId{8, seq}, seq, "k", "v", Timestamp{1, 8}, true};
+    t.Send(std::move(msg));
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (client.delivered() < seq && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return client.delivered() == seq;
+  };
+
+  constexpr uint64_t kWarmup = 64;
+  constexpr uint64_t kIters = 256;
+  for (uint64_t seq = 1; seq <= kWarmup; seq++) {
+    ASSERT_TRUE(kick(seq)) << "delivery " << seq << " lost";
+  }
+  const int64_t warm_allocs = client.allocs();
+  for (uint64_t seq = kWarmup + 1; seq <= kWarmup + kIters; seq++) {
+    ASSERT_TRUE(kick(seq)) << "delivery " << seq << " lost";
+  }
+  EXPECT_EQ(client.allocs() - warm_allocs, 0)
+      << "corked send path allocated over " << kIters << " deliveries";
+  t.DrainForTesting();
+  t.Stop();
+  uint64_t delivered = 0;
+  for (ReplicaId r = 0; r < 3; r++) {
+    delivered += replicas[r].count.load();
+  }
+  EXPECT_EQ(delivered, (kWarmup + kIters) * 7);
+  // The kick plus the client's six datagrams per delivery.
+  EXPECT_EQ(SnapshotMetrics().CounterValue("udp.sent_datagrams") - sent_before,
+            (kWarmup + kIters) * 7);
 }
 
 INSTANTIATE_TEST_SUITE_P(SteeringModes, UdpModeTest, ::testing::Bool(),
