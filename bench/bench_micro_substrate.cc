@@ -219,6 +219,8 @@ void BM_OccValidateCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_OccValidateCommit);
 
+// One record's whole life: created, stamped (queued under its ts),
+// finalized, and trimmed by the next step once the watermark passes it.
 void BM_TRecordLifecycle(benchmark::State& state) {
   TRecord trecord(4);
   uint64_t seq = 0;
@@ -226,8 +228,9 @@ void BM_TRecordLifecycle(benchmark::State& state) {
     TxnId tid{1, ++seq};
     TRecordPartition& part = trecord.Partition(static_cast<CoreId>(seq % 4));
     TxnRecord& rec = part.GetOrCreate(tid);
+    part.SetTs(rec, Timestamp{seq, 1});
     rec.status = TxnStatus::kCommitted;
-    part.Erase(tid);
+    part.TrimBelow(Timestamp{seq + 1, 0});
   }
 }
 BENCHMARK(BM_TRecordLifecycle);

@@ -41,6 +41,9 @@
 
 namespace meerkat {
 
+// Replica-side: the most invalidation hints one validation reply carries.
+inline constexpr size_t kHintsPerReply = 8;
+
 // Configuration for the client read cache (SystemOptions::cache). Disabled by
 // default: enabling it trades aborts-under-write-contention for read latency,
 // a workload decision the deployment must opt into.
@@ -54,8 +57,6 @@ struct CacheOptions {
   // Replica-side: per-core recent-writes ring capacity. 0 disables hint
   // production entirely (replies carry no hints).
   size_t hint_ring = 32;
-  // Replica-side: maximum hints attached to one validation reply.
-  size_t hints_per_reply = 8;
   // Abort-driven evictions of a key before it stops being cached.
   uint32_t contended_threshold = 3;
 
@@ -73,10 +74,6 @@ struct CacheOptions {
   }
   CacheOptions& WithHintRing(size_t n) {
     hint_ring = n;
-    return *this;
-  }
-  CacheOptions& WithHintsPerReply(size_t n) {
-    hints_per_reply = n;
     return *this;
   }
   CacheOptions& WithContendedThreshold(uint32_t n) {

@@ -14,8 +14,9 @@
 //     atomic (the CoreLoad discipline). Clocks serve performance, never
 //     safety (paper §3): a message older than the horizon is answered from W
 //     with an abort vote or dropped, both of which the protocol tolerates.
-//   * Trimming runs from the DispatchBatch maintenance slot with a
-//     per-invocation scan budget, so a trim pass never stalls validation.
+//   * Trimming runs from the DispatchBatch maintenance slot after every
+//     batch. Each partition queues its records in timestamp order, so a step
+//     pops only the records that crossed W and never walks the table.
 //
 // Duplicate messages for an already-trimmed transaction are answered
 // idempotently from the watermark (see replica.cc and DESIGN.md §12).
@@ -23,7 +24,6 @@
 #ifndef MEERKAT_SRC_COMMON_GC_H_
 #define MEERKAT_SRC_COMMON_GC_H_
 
-#include <cstddef>
 #include <cstdint>
 
 namespace meerkat {
@@ -33,14 +33,6 @@ struct GcOptions {
   // configuration choice. Disable only for tests that inspect finalized
   // records after the fact.
   bool enabled = true;
-  // A GC step runs once per this many DispatchBatch invocations on a core
-  // (the batch dispatcher is the natural maintenance clock: it ticks exactly
-  // when the core is already awake doing work).
-  uint32_t interval_dispatches = 16;
-  // Maximum records examined per trim step. Bounds the time validation
-  // traffic waits behind a maintenance slot; the bucket cursor resumes where
-  // the previous step left off, so coverage is complete across steps.
-  size_t trim_budget = 128;
   // How far (timestamp-time units, ns in every runtime) the watermark trails
   // the replica's clock: W = now − horizon_ns. A transaction's messages stay
   // answerable from its record for at least this long after its timestamp;
@@ -50,21 +42,14 @@ struct GcOptions {
   // message of a transaction inside its deadline is ever answered from W.
   uint64_t horizon_ns = 10'000'000;
   // A non-final record this far below the core watermark is orphaned — its
-  // coordinator stopped driving it long ago — and the watermark pass starts
+  // coordinator stopped driving it long ago — and the GC step starts
   // cooperative termination (paper §5.3.2) for it, which also releases the
-  // transaction's pending vstore reader/writer registrations.
+  // transaction's pending vstore reader/writer registrations. A swept
+  // transaction is not swept again for another orphan_grace_ns.
   uint64_t orphan_grace_ns = 500'000'000;
 
   GcOptions& WithEnabled(bool on) {
     enabled = on;
-    return *this;
-  }
-  GcOptions& WithIntervalDispatches(uint32_t n) {
-    interval_dispatches = n;
-    return *this;
-  }
-  GcOptions& WithTrimBudget(size_t n) {
-    trim_budget = n;
     return *this;
   }
   GcOptions& WithHorizon(uint64_t ns) {

@@ -17,12 +17,12 @@ namespace {
 // MetricId; histogram bucket arrays are allocated on first record (under the
 // registry mutex — see MetricRecordValue) so slab construction stays cheap
 // enough to run at thread start without perturbing scheduling. Only the
-// owning thread writes. Counter/gauge words are relaxed
-// atomics so a snapshot may read them mid-record without a data race: with a
-// single writer the record path is a relaxed load+add+store (no RMW, no
-// fence, no shared cache line — same machine code as a plain add on x86).
-// Histogram buckets stay plain; snapshots of histograms racing a recorder
-// are torn-tolerant but only exact at quiescent points.
+// owning thread writes. Counter/gauge words, and every word of a
+// LatencyHistogram, are relaxed atomics so a snapshot may read them
+// mid-record without a data race: with a single writer the record path is a
+// relaxed load+add+store (no RMW, no fence, no shared cache line — same
+// machine code as a plain add on x86). A snapshot racing a recorder is torn
+// across words and exact at quiescent points.
 struct MetricsSlab {
   std::array<std::atomic<uint64_t>, MetricsRegistry::kMaxCounters> counters{};
   std::array<std::atomic<int64_t>, MetricsRegistry::kMaxGauges> gauges{};

@@ -13,8 +13,8 @@
 //     (slabs are shared_ptr-owned by both the registry and the creating
 //     thread, so they outlive exited threads). A snapshot is "torn" by
 //     design: counters recorded concurrently may or may not be included, but
-//     every counter/gauge word read is a valid value and totals are exact at
-//     quiescent points. Histogram merges are only exact when quiescent.
+//     every counter, gauge and histogram word read is a valid value and
+//     totals are exact at quiescent points.
 //
 // Kinds:
 //   counter   — monotone uint64 sum across threads (MetricIncr).

@@ -78,12 +78,12 @@ void AimdWindow::OnOutcome(TxnResult result, AbortReason reason) {
     MutexLock lock(mu_);
     if (result == TxnResult::kCommit) {
       // Reno-style additive increase: a full window of commits grows the
-      // window by ~additive_increase.
-      window_ += options_.additive_increase / std::max(1.0, window_);
+      // window by ~kAdditiveIncrease.
+      window_ += kAdditiveIncrease / std::max(1.0, window_);
     } else {
       bool overload = reason == AbortReason::kOverload || reason == AbortReason::kNoQuorum ||
                       reason == AbortReason::kDeadline || result == TxnResult::kFailed;
-      window_ *= overload ? options_.overload_decrease : options_.conflict_decrease;
+      window_ *= overload ? kOverloadDecrease : kConflictDecrease;
       MetricIncr(kWindowDecreases);
     }
     window_ = Clamp(window_, std::max(1.0, options_.min_window), options_.max_window);

@@ -38,20 +38,6 @@ struct AdmissionOptions {
   double initial_window = 8.0;
   double min_window = 1.0;
   double max_window = 1024.0;
-  // Additive increase per committed transaction, spread over a full window
-  // (w += additive_increase / w), the TCP-Reno shape: one full window of
-  // commits grows the window by ~additive_increase.
-  double additive_increase = 1.0;
-  // Multiplicative decrease on a contention abort (OCC conflict / shard
-  // abort). Gentler than the overload decrease: conflicts carry some signal
-  // but single aborts are common at any load.
-  double conflict_decrease = 0.9;
-  // Multiplicative decrease on an overload signal (replica shed, timeout,
-  // deadline, no-quorum): the strong back-off.
-  double overload_decrease = 0.5;
-  // How often a simulated client polls for a free slot (the sim driver cannot
-  // block; see workload/driver.cc).
-  uint64_t poll_ns = 2'000;
 
   AdmissionOptions& WithEnabled(bool on) {
     enabled = on;
@@ -64,15 +50,6 @@ struct AdmissionOptions {
   AdmissionOptions& WithWindowRange(double min_w, double max_w) {
     min_window = min_w;
     max_window = max_w;
-    return *this;
-  }
-  AdmissionOptions& WithIncrease(double ai) {
-    additive_increase = ai;
-    return *this;
-  }
-  AdmissionOptions& WithDecreases(double conflict, double overload) {
-    conflict_decrease = conflict;
-    overload_decrease = overload;
     return *this;
   }
 };
@@ -116,6 +93,18 @@ struct OverloadOptions {
 // callback while the sim driver polls deterministically.
 class AimdWindow {
  public:
+  // Additive increase per committed transaction, spread over a full window
+  // (w += kAdditiveIncrease / w), the TCP-Reno shape: one full window of
+  // commits grows the window by ~kAdditiveIncrease.
+  static constexpr double kAdditiveIncrease = 1.0;
+  // Multiplicative decrease on a contention abort (OCC conflict / shard
+  // abort). Gentler than the overload decrease: conflicts carry some signal
+  // but single aborts are common at any load.
+  static constexpr double kConflictDecrease = 0.9;
+  // Multiplicative decrease on an overload signal (replica shed, timeout,
+  // deadline, no-quorum): the strong back-off.
+  static constexpr double kOverloadDecrease = 0.5;
+
   explicit AimdWindow(const AdmissionOptions& options);
 
   bool enabled() const { return options_.enabled; }
@@ -135,8 +124,8 @@ class AimdWindow {
   bool AcquireOrPark(std::function<void()> resume, bool priority_bypass = false);
 
   // Releases the slot and applies AIMD from the attempt's outcome:
-  // additive-increase on commit; conflict_decrease on contention aborts;
-  // overload_decrease on sheds, timeouts, deadline misses, and failures.
+  // additive-increase on commit; kConflictDecrease on contention aborts;
+  // kOverloadDecrease on sheds, timeouts, deadline misses, and failures.
   void OnOutcome(TxnResult result, AbortReason reason);
 
   // Releases the slot with no window adjustment (abandoned attempts).

@@ -33,66 +33,78 @@ uint64_t LatencyHistogram::BucketLowerBound(int bucket) {
 
 void LatencyHistogram::Record(uint64_t nanos) {
   EnsureBuckets();
-  buckets_[static_cast<size_t>(BucketFor(nanos))]++;
-  if (count_ == 0) {
-    min_ = max_ = nanos;
-  } else {
-    min_ = std::min(min_, nanos);
-    max_ = std::max(max_, nanos);
+  Word& bucket = buckets_[static_cast<size_t>(BucketFor(nanos))];
+  Store(bucket, Load(bucket) + 1);
+  const uint64_t count = Load(count_);
+  if (count == 0 || nanos < Load(min_)) {
+    Store(min_, nanos);
   }
-  count_++;
-  sum_ += nanos;
+  if (count == 0 || nanos > Load(max_)) {
+    Store(max_, nanos);
+  }
+  Store(count_, count + 1);
+  Store(sum_, Load(sum_) + nanos);
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  if (!other.buckets_.empty()) {
+  if (other.has_buckets()) {
     EnsureBuckets();
-    for (int i = 0; i < kNumBuckets; i++) {
-      buckets_[static_cast<size_t>(i)] += other.buckets_[static_cast<size_t>(i)];
+    for (size_t i = 0; i < buckets_.size(); i++) {
+      Store(buckets_[i], Load(buckets_[i]) + Load(other.buckets_[i]));
     }
   }
-  if (other.count_ > 0) {
-    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-    max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  const uint64_t count = Load(count_);
+  const uint64_t other_count = Load(other.count_);
+  if (other_count > 0) {
+    Store(min_, count == 0 ? Load(other.min_) : std::min(Load(min_), Load(other.min_)));
+    Store(max_, count == 0 ? Load(other.max_) : std::max(Load(max_), Load(other.max_)));
   }
-  count_ += other.count_;
-  sum_ += other.sum_;
+  Store(count_, count + other_count);
+  Store(sum_, Load(sum_) + Load(other.sum_));
 }
 
 void LatencyHistogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = sum_ = min_ = max_ = 0;
+  for (Word& bucket : buckets_) {
+    Store(bucket, 0);
+  }
+  Store(count_, 0);
+  Store(sum_, 0);
+  Store(min_, 0);
+  Store(max_, 0);
 }
 
 double LatencyHistogram::MeanNanos() const {
-  return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
+  const uint64_t count = Count();
+  return count == 0 ? 0.0 : static_cast<double>(Load(sum_)) / static_cast<double>(count);
 }
 
 uint64_t LatencyHistogram::QuantileNanos(double q) const {
-  if (count_ == 0) {
+  const uint64_t count = Count();
+  if (count == 0) {
     return 0;
   }
   q = std::clamp(q, 0.0, 1.0);
-  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count_ - 1));
+  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count - 1));
   uint64_t seen = 0;
-  for (int i = 0; i < kNumBuckets; i++) {
-    seen += buckets_[static_cast<size_t>(i)];
+  for (size_t i = 0; i < buckets_.size(); i++) {
+    seen += Load(buckets_[i]);
     if (seen > target) {
       // A bucket's lower bound can undershoot the smallest recorded sample
       // (e.g. one 1500 ns sample lands in the bucket starting at 1472 ns);
-      // clamp so quantiles always lie within the observed [min, max].
-      return std::clamp(BucketLowerBound(i), min_, max_);
+      // clamp so quantiles always lie within the observed [min, max] (a
+      // torn copy may hold min > max, which std::clamp does not allow).
+      return std::min(std::max(BucketLowerBound(static_cast<int>(i)), MinNanos()), MaxNanos());
     }
   }
-  return max_;
+  return MaxNanos();
 }
 
 std::string LatencyHistogram::Summary() const {
   char buf[160];
   snprintf(buf, sizeof(buf), "n=%llu mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus",
-           static_cast<unsigned long long>(count_), MeanNanos() / 1e3,
+           static_cast<unsigned long long>(Count()), MeanNanos() / 1e3,
            static_cast<double>(QuantileNanos(0.5)) / 1e3,
-           static_cast<double>(QuantileNanos(0.99)) / 1e3, static_cast<double>(max_) / 1e3);
+           static_cast<double>(QuantileNanos(0.99)) / 1e3, static_cast<double>(MaxNanos()) / 1e3);
   return buf;
 }
 

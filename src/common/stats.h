@@ -5,6 +5,7 @@
 #ifndef MEERKAT_SRC_COMMON_STATS_H_
 #define MEERKAT_SRC_COMMON_STATS_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,9 +17,23 @@ namespace meerkat {
 // allocated on the first Record/Merge, so an unused histogram costs a few
 // words — the per-thread metrics slabs (metrics.h) hold kMaxHistograms of
 // these and must stay cheap to construct at thread start.
+//
+// Single writer, any readers: every word is a relaxed atomic that Record
+// updates with a plain load+store (no RMW, no lock; the same machine code as
+// a plain add on x86), so a metrics snapshot may Merge a histogram its
+// owning thread is recording into without a data race. Such a read is torn
+// across words; it is exact at quiescent points.
 class LatencyHistogram {
  public:
   LatencyHistogram() = default;
+  LatencyHistogram(const LatencyHistogram& other) { Merge(other); }
+  LatencyHistogram& operator=(const LatencyHistogram& other) {
+    if (this != &other) {
+      Reset();
+      Merge(other);
+    }
+    return *this;
+  }
 
   void Record(uint64_t nanos);
   void Merge(const LatencyHistogram& other);
@@ -31,16 +46,16 @@ class LatencyHistogram {
   bool has_buckets() const { return !buckets_.empty(); }
   void EnsureBuckets() {
     if (buckets_.empty()) {
-      buckets_.resize(kNumBuckets, 0);
+      buckets_ = std::vector<Word>(kNumBuckets);
     }
   }
 
-  uint64_t Count() const { return count_; }
+  uint64_t Count() const { return Load(count_); }
   double MeanNanos() const;
   // q in [0, 1]; returns an approximate quantile in nanoseconds.
   uint64_t QuantileNanos(double q) const;
-  uint64_t MinNanos() const { return count_ == 0 ? 0 : min_; }
-  uint64_t MaxNanos() const { return count_ == 0 ? 0 : max_; }
+  uint64_t MinNanos() const { return Count() == 0 ? 0 : Load(min_); }
+  uint64_t MaxNanos() const { return Count() == 0 ? 0 : Load(max_); }
 
   std::string Summary() const;
 
@@ -51,11 +66,15 @@ class LatencyHistogram {
   static int BucketFor(uint64_t nanos);
   static uint64_t BucketLowerBound(int bucket);
 
-  std::vector<uint64_t> buckets_;
-  uint64_t count_ = 0;
-  uint64_t sum_ = 0;
-  uint64_t min_ = 0;
-  uint64_t max_ = 0;
+  using Word = std::atomic<uint64_t>;
+  static uint64_t Load(const Word& word) { return word.load(std::memory_order_relaxed); }
+  static void Store(Word& word, uint64_t value) { word.store(value, std::memory_order_relaxed); }
+
+  std::vector<Word> buckets_;
+  Word count_{0};
+  Word sum_{0};
+  Word min_{0};
+  Word max_{0};
 };
 
 // Outcome counters for a workload run. Throughput in the paper is *goodput*:

@@ -1,5 +1,6 @@
 #include "src/protocol/replica.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/dap_check.h"
@@ -28,12 +29,10 @@ const MetricId kValidateSweepWidth = MetricsRegistry::Histogram("batch.validate_
 const MetricId kShedValidates = MetricsRegistry::Counter("overload.shed_validates");
 const MetricId kShedHintNs = MetricsRegistry::Histogram("overload.shed_hint_ns");
 
-// Watermark GC (DESIGN.md §12): trim passes run from the maintenance slot,
-// passes whose budget ran out mid-partition, duplicates answered from the
-// watermark instead of a (trimmed) record, and orphan recoveries the sweep
-// started.
+// Watermark GC (DESIGN.md §12): trim steps run from the maintenance slot,
+// duplicates answered from the watermark instead of a (trimmed) record, and
+// orphan recoveries the sweep started.
 const MetricId kGcTrimPasses = MetricsRegistry::Counter("gc.trim_passes");
-const MetricId kGcBudgetExhausted = MetricsRegistry::Counter("gc.budget_exhausted");
 const MetricId kGcStaleValidates = MetricsRegistry::Counter("gc.stale_validates_answered");
 const MetricId kGcStaleCommits = MetricsRegistry::Counter("gc.stale_commits_dropped");
 const MetricId kGcOrphanRecoveries = MetricsRegistry::Counter("gc.orphan_recoveries");
@@ -289,7 +288,7 @@ ZCP_FAST_PATH NO_THREAD_SAFETY_ANALYSIS void MeerkatReplica::DispatchBatch(CoreI
             MetricRecordValue(kShedHintNs, reply.backoff_hint_ns);
           } else {
             TxnRecord& rec = existing != nullptr ? *existing : part.GetOrCreate(req->tid);
-            rec.ts = req->ts;
+            part.SetTs(rec, req->ts);
             rec.sets = req->sets;  // Adopt the coordinator's shared payload (no copy).
             ValidateBatchItem item;
             item.read_set = &rec.read_set();
@@ -362,9 +361,8 @@ ZCP_FAST_PATH NO_THREAD_SAFETY_ANALYSIS void MeerkatReplica::DispatchBatch(CoreI
     FlushStagedReplies(scratch);
   }
 
-  // Maintenance slot: one budgeted watermark-GC step every
-  // gc_.interval_dispatches batches, after the gate is released and the
-  // staged replies are on the wire.
+  // Maintenance slot: one watermark-GC step, after the gate is released and
+  // the staged replies are on the wire.
   MaybeRunGc(core);
 }
 
@@ -443,12 +441,11 @@ ZCP_FAST_PATH void MeerkatReplica::NoteRecentWrites(CoreId core,
 }
 
 ZCP_FAST_PATH void MeerkatReplica::AttachHints(CoreId core, ValidateReply* reply) {
-  if (!cache_.enabled || cache_.hint_ring == 0 || cache_.hints_per_reply == 0) {
+  if (!cache_.enabled || cache_.hint_ring == 0) {
     return;
   }
   const CoreRecentWrites& rw = core_recent_writes_[core % core_recent_writes_.size()];
-  size_t count = rw.ring.size() < cache_.hints_per_reply ? rw.ring.size()
-                                                         : cache_.hints_per_reply;
+  const size_t count = std::min(rw.ring.size(), kHintsPerReply);
   if (count == 0) {
     return;
   }
@@ -489,7 +486,7 @@ ZCP_FAST_PATH void MeerkatReplica::HandleAccept(CoreId core, const Address& from
 
   // A replica that missed the VALIDATE learns the transaction here.
   if (!rec.ts.Valid()) {
-    rec.ts = req.ts;
+    part.SetTs(rec, req.ts);
     rec.sets = req.sets;
   }
   if (rec.status == TxnStatus::kNone) {
@@ -524,11 +521,9 @@ ZCP_FAST_PATH void MeerkatReplica::HandleCommit(CoreId core, const Address& /*fr
   if (IsFinal(rec.status)) {
     return;  // Duplicate COMMIT; the write phase already ran.
   }
-  if (!rec.ts.Valid() && req.ts.Valid()) {
-    // This replica missed the VALIDATE/ACCEPT; adopt the stamped commit
-    // timestamp so the finalized record stays trimmable.
-    rec.ts = req.ts;
-  }
+  // A replica that missed the VALIDATE/ACCEPT adopts the stamped commit
+  // timestamp, which queues the record for trimming.
+  part.SetTs(rec, req.ts);
   if (rec.status != TxnStatus::kNone) {
     // Non-final -> final: the transaction leaves this core's inflight set.
     // Single-writer (this core), so the check-then-sub cannot race.
@@ -857,12 +852,7 @@ ZCP_FAST_PATH void MeerkatReplica::MaybeRunGc(CoreId core) {
   if (!gc_.enabled || num_cores_ == 0) {
     return;
   }
-  CoreGc& gc = core_gc_[core % core_gc_.size()];
-  if (++gc.dispatches < gc_.interval_dispatches) {
-    return;
-  }
-  gc.dispatches = 0;
-  RunGcStep(core, gc);
+  RunGcStep(core, core_gc_[core % core_gc_.size()]);
 }
 
 ZCP_SLOW_PATH void MeerkatReplica::RunGcStep(CoreId core, CoreGc& gc) {
@@ -896,53 +886,36 @@ ZCP_SLOW_PATH void MeerkatReplica::RunGcStep(CoreId core, CoreGc& gc) {
     gate_.UnlockShared();
     return;  // Paused: the epoch machinery owns the trecord right now.
   }
-  TRecordPartition::TrimStepResult res = trecord_.Partition(core).TrimStep(
-      wm, gc_.trim_budget, &gc.cursor, orphan_below, &gc.orphans);
+  trecord_.Partition(core).TrimBelow(wm, orphan_below, &gc.orphans);
   gate_.UnlockShared();
 
-  const uint64_t pass = gc.trim_passes.fetch_add(1, std::memory_order_relaxed) + 1;
+  gc.trim_passes.fetch_add(1, std::memory_order_relaxed);
   MetricIncr(kGcTrimPasses);
-  if (!res.wrapped) {
-    // Budget ran out mid-partition; the cursor resumes there next pass.
-    MetricIncr(kGcBudgetExhausted);
+  if (gc.orphans.empty()) {
+    return;
   }
-  if (!gc.orphans.empty()) {
-    // Cooldown filter: a transaction swept at pass P is not re-swept before
-    // P + kOrphanRetryCooldownPasses. The window matters because the sweep
-    // races the recovery it started: the backup retires as soon as it
-    // broadcasts COMMIT, but until that COMMIT lands the record sits
-    // non-final (re-created by the recovery's own ACCEPT) below the orphan
-    // threshold, and an uncooled re-sweep livelocks — one full recovery per
-    // pass, forever. A record still non-final after the cooldown (lost
-    // COMMIT, dead backup) is legitimately re-swept.
-    size_t kept = 0;
-    for (const auto& orphan : gc.orphans) {
-      bool cooling = false;
-      bool tracked = false;
-      for (CoreGc::RecentOrphan& r : gc.recent_orphans) {
-        if (r.pass != 0 && r.tid == orphan.first) {
-          tracked = true;
-          if (pass < r.pass + kOrphanRetryCooldownPasses) {
-            cooling = true;
-          } else {
-            r.pass = pass;  // Retry now; next retry another cooldown out.
-          }
-          break;
-        }
-      }
-      if (!tracked) {
-        gc.recent_orphans[gc.recent_next] = {orphan.first, pass};
-        gc.recent_next = (gc.recent_next + 1) % gc.recent_orphans.size();
-      }
-      if (!cooling) {
-        gc.orphans[kept++] = orphan;
+  // Cooldown filter: a transaction swept at time t is not re-swept before
+  // t + orphan_grace_ns. The sweep races the recovery it started: the backup
+  // retires as soon as it broadcasts COMMIT, and until that COMMIT lands the
+  // record sits non-final below the orphan threshold.
+  std::erase_if(gc.cooldown, [now](const auto& entry) { return entry.second <= now; });
+  size_t kept = 0;
+  for (const auto& orphan : gc.orphans) {
+    bool cooling = false;
+    for (const auto& entry : gc.cooldown) {
+      if (entry.first == orphan.first) {
+        cooling = true;
+        break;
       }
     }
-    gc.orphans.resize(kept);
+    if (!cooling) {
+      gc.cooldown.emplace_back(orphan.first, now + gc_.orphan_grace_ns);
+      gc.orphans[kept++] = orphan;
+    }
   }
+  gc.orphans.resize(kept);
   if (!gc.orphans.empty()) {
     MetricIncr(kGcOrphanRecoveries, StartOrphanRecoveries(core, gc.orphans));
-    gc.orphans.clear();
   }
 }
 

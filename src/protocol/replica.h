@@ -12,7 +12,6 @@
 #ifndef MEERKAT_SRC_PROTOCOL_REPLICA_H_
 #define MEERKAT_SRC_PROTOCOL_REPLICA_H_
 
-#include <array>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -69,7 +68,7 @@ class MeerkatReplica {
   // `cache` configures the replica-side half of the client read cache
   // (DESIGN.md §13): when enabled with hint_ring > 0, each core remembers its
   // recently committed writes in a small ring and piggybacks up to
-  // hints_per_reply (key_hash, wts) invalidation hints on validate replies.
+  // kHintsPerReply (key_hash, wts) invalidation hints on validate replies.
   // The ring is plain per-core state (pushed and drained only by the owning
   // core's worker) — no cross-core coordination.
   MeerkatReplica(ReplicaId id, const QuorumConfig& quorum, size_t num_cores,
@@ -194,27 +193,18 @@ class MeerkatReplica {
     // back.
     std::atomic<uint64_t> watermark_time{0};
     std::atomic<uint64_t> trim_passes{0};
-    // TrimStep bucket cursor into this core's trecord partition.
-    size_t cursor = 0;
-    // Dispatches since the last GC step (interval gate).
-    uint32_t dispatches = 0;
-    // Reused orphan-collection buffer (capacity stays warm across passes).
+    // Reused orphan-collection buffer (capacity stays warm across steps).
     std::vector<std::pair<TxnId, ViewNum>> orphans;
-    // Recently swept orphans (small overwrite-oldest ring). A transaction
-    // flagged at pass P is not re-swept before P + kOrphanRetryCooldownPasses:
-    // a finished backup's COMMIT is still in flight when it retires, and
-    // re-sweeping inside that window livelocks (each recovery's own ACCEPT
-    // re-creates a non-final record below the orphan threshold, which the
-    // next pass flags again, forever). A genuinely lost COMMIT is re-swept
-    // once the cooldown expires.
-    struct RecentOrphan {
-      TxnId tid;
-      uint64_t pass = 0;
-    };
-    std::array<RecentOrphan, 8> recent_orphans{};
-    size_t recent_next = 0;
+    // Recently swept orphans and the clock time each one's cooldown ends, one
+    // orphan_grace_ns after its sweep. A finished backup's COMMIT is still in
+    // flight when the backup retires, and re-sweeping inside that window
+    // starts a second recovery of a transaction that is already decided.
+    // Keyed by tid, not kept on the record: a competing backup's late
+    // CoordChange or ACCEPT re-creates a trimmed record, undecided, below
+    // the orphan threshold. A genuinely lost COMMIT is re-swept once the
+    // cooldown ends.
+    std::vector<std::pair<TxnId, uint64_t>> cooldown;
   };
-  static constexpr uint64_t kOrphanRetryCooldownPasses = 64;
 
   // Per-core recent-writes ring feeding client-cache invalidation hints
   // (DESIGN.md §13). Plain fields, no atomics: pushes (HandleCommit) and
@@ -303,7 +293,7 @@ class MeerkatReplica {
   // Records a committed write in this core's recent-writes ring (no-op when
   // hint production is disabled). Owning-core worker only.
   void NoteRecentWrites(CoreId core, const std::vector<WriteSetEntry>& write_set, Timestamp ts);
-  // Copies the newest <= hints_per_reply ring entries into reply->hints.
+  // Copies the newest <= kHintsPerReply ring entries into reply->hints.
   // Non-destructive; owning-core worker only.
   void AttachHints(CoreId core, ValidateReply* reply);
 
@@ -312,12 +302,12 @@ class MeerkatReplica {
   void RecomputeLoadCounters() REQUIRES(gate_);
 
   // --- Watermark GC (DESIGN.md §12) ---------------------------------------
-  // Interval gate called at the end of every DispatchBatch; runs RunGcStep
-  // every gc_.interval_dispatches batches.
+  // Called at the end of every DispatchBatch; runs RunGcStep when GC is on.
   void MaybeRunGc(CoreId core);
-  // One budgeted GC step: advance the published watermark to now − horizon,
-  // trim a slice of this core's partition under the shared epoch gate, and
-  // start backup coordinators for orphans stuck below the grace threshold.
+  // One GC step: advance the published watermark to now − horizon, trim the
+  // records of this core's partition that crossed it under the shared epoch
+  // gate, and start backup coordinators for orphans stuck below the grace
+  // threshold.
   void RunGcStep(CoreId core, CoreGc& gc);
   // Hosts a BackupCoordinator for each (tid, view) not already being
   // recovered; shared by RunGcStep's orphan sweep and

@@ -1,5 +1,7 @@
 #include "src/store/trecord.h"
 
+#include <algorithm>
+
 #include "src/common/annotations.h"
 #include "src/common/metrics.h"
 
@@ -17,13 +19,15 @@ void ChargeLocalOp() {
 // Partition occupancy: the gauge accumulates +1/-1 per thread and sums to the
 // global live-record count; the counters give creation/trim churn rates.
 const MetricId kRecordsCreated = MetricsRegistry::Counter("trecord.records_created");
-const MetricId kRecordsErased = MetricsRegistry::Counter("trecord.records_erased");
 const MetricId kRecordsTrimmed = MetricsRegistry::Counter("trecord.records_trimmed");
 const MetricId kRecordsCleared = MetricsRegistry::Counter("trecord.records_cleared");
 const MetricId kLiveRecords = MetricsRegistry::Gauge("trecord.live_records");
 // Records the GC's trim steps examined, trimmed or not: against
-// trecord.records_trimmed, the cost of walking the partition per reclaim.
+// trecord.records_trimmed, what each reclaim cost the step.
 const MetricId kRecordsScanned = MetricsRegistry::Counter("gc.records_scanned");
+
+// Heap order for the trim queue: the earliest ts on top.
+constexpr auto kEarliestOnTop = [](const auto& a, const auto& b) { return b.ts < a.ts; };
 
 }  // namespace
 
@@ -39,18 +43,6 @@ TxnRecordSnapshot TxnRecord::ToSnapshot(CoreId core) const {
   snap.read_set = read_set();
   snap.write_set = write_set();
   return snap;
-}
-
-TxnRecord TxnRecord::FromSnapshot(const TxnRecordSnapshot& snap) {
-  TxnRecord rec;
-  rec.tid = snap.tid;
-  rec.ts = snap.ts;
-  rec.status = snap.status;
-  rec.view = snap.view;
-  rec.accept_view = snap.accept_view;
-  rec.accepted = snap.accepted;
-  rec.sets = MakeTxnSets(snap.read_set, snap.write_set);
-  return rec;
 }
 
 ZCP_FAST_PATH TxnRecord& TRecordPartition::GetOrCreate(const TxnId& tid) {
@@ -72,59 +64,63 @@ ZCP_FAST_PATH TxnRecord* TRecordPartition::Find(const TxnId& tid) {
   return it == records_.end() ? nullptr : &it->second;
 }
 
-ZCP_FAST_PATH void TRecordPartition::Erase(const TxnId& tid) {
-  dap_slot_.CheckAccess(dap_index_, dap_count_, "TRecordPartition::Erase");
-  ChargeLocalOp();
-  if (records_.erase(tid) > 0) {
-    MetricIncr(kRecordsErased);
-    MetricGaugeAdd(kLiveRecords, -1);
+ZCP_FAST_PATH void TRecordPartition::SetTs(TxnRecord& rec, Timestamp ts) {
+  dap_slot_.CheckAccess(dap_index_, dap_count_, "TRecordPartition::SetTs");
+  if (rec.ts.Valid()) {
+    return;
   }
+  rec.ts = ts;
+  queue_.push_back(Queued{ts, rec.tid});
+  std::push_heap(queue_.begin(), queue_.end(), kEarliestOnTop);
 }
 
-ZCP_SLOW_PATH TRecordPartition::TrimStepResult TRecordPartition::TrimStep(
-    Timestamp below, size_t budget, size_t* cursor, Timestamp orphan_below,
+ZCP_SLOW_PATH TRecordPartition::TrimResult TRecordPartition::TrimBelow(
+    Timestamp below, Timestamp orphan_below,
     std::vector<std::pair<TxnId, ViewNum>>* orphans) {
-  dap_slot_.CheckAccess(dap_index_, dap_count_, "TRecordPartition::TrimStep");
-  TrimStepResult result;
-  if (!below.Valid() || records_.empty()) {
-    result.wrapped = true;
+  dap_slot_.CheckAccess(dap_index_, dap_count_, "TRecordPartition::TrimBelow");
+  TrimResult result;
+  if (!below.Valid()) {
     return result;
   }
-  const size_t buckets = records_.bucket_count();
-  // Only inserts rehash (erase never does); a cursor past the current bucket
-  // count means the table grew or shrank a rehash under us — restart the lap.
-  if (*cursor >= buckets) {
-    *cursor = 0;
-  }
-  const size_t start = *cursor;
-  size_t b = start;
-  do {
-    // Collect first, erase after: erasing from the bucket being iterated
-    // would invalidate its local iterators (other buckets stay valid).
-    TxnId victims[8];
-    size_t n_victims = 0;
-    for (auto it = records_.cbegin(b); it != records_.cend(b); ++it) {
-      result.scanned++;
-      const TxnRecord& rec = it->second;
-      if (IsFinal(rec.status) && rec.ts < below) {
-        if (n_victims < sizeof(victims) / sizeof(victims[0])) {
-          victims[n_victims++] = rec.tid;
-        }
-        // A bucket deeper than the stack block finishes on a later lap.
-      } else if (orphans != nullptr && orphan_below.Valid() && !IsFinal(rec.status) &&
-                 rec.status != TxnStatus::kNone && rec.ts.Valid() && rec.ts < orphan_below) {
-        orphans->push_back({rec.tid, rec.view});
+  // Erases the entry's record if it is final below the watermark; returns
+  // whether the record stays held.
+  auto settle = [&](const Queued& entry) {
+    result.scanned++;
+    auto it = records_.find(entry.tid);
+    if (it == records_.end() || it->second.ts != entry.ts) {
+      return false;  // Stale entry.
+    }
+    const TxnRecord& rec = it->second;
+    if (IsFinal(rec.status)) {
+      if (rec.ts < below) {
+        records_.erase(it);
+        result.trimmed++;
+        return false;
       }
+    } else if (orphans != nullptr && orphan_below.Valid() && rec.status != TxnStatus::kNone &&
+               rec.ts.Valid() && rec.ts < orphan_below) {
+      orphans->push_back({rec.tid, rec.view});
     }
-    for (size_t v = 0; v < n_victims; v++) {
-      records_.erase(victims[v]);
-      result.trimmed++;
+    return true;
+  };
+  size_t kept = 0;
+  for (const Queued& entry : held_) {
+    if (settle(entry)) {
+      held_[kept++] = entry;
     }
-    b = (b + 1) % buckets;
-  } while (b != start && result.scanned < budget);
-  *cursor = b;
-  result.wrapped = b == start;
-  MetricIncr(kRecordsScanned, result.scanned);
+  }
+  held_.resize(kept);
+  while (!queue_.empty() && queue_.front().ts < below) {
+    std::pop_heap(queue_.begin(), queue_.end(), kEarliestOnTop);
+    const Queued entry = queue_.back();
+    queue_.pop_back();
+    if (settle(entry)) {
+      held_.push_back(entry);
+    }
+  }
+  if (result.scanned > 0) {
+    MetricIncr(kRecordsScanned, result.scanned);
+  }
   if (result.trimmed > 0) {
     MetricIncr(kRecordsTrimmed, result.trimmed);
     MetricGaugeAdd(kLiveRecords, -static_cast<int64_t>(result.trimmed));
@@ -141,6 +137,8 @@ void TRecordPartition::Clear() {
     MetricGaugeAdd(kLiveRecords, -static_cast<int64_t>(records_.size()));
   }
   records_.clear();
+  queue_.clear();
+  held_.clear();
   dap_slot_.ResetOwner();
 }
 
@@ -170,7 +168,13 @@ void TRecord::ReplaceAll(const std::vector<TxnRecordSnapshot>& snapshots) {
   }
   for (const TxnRecordSnapshot& snap : snapshots) {
     TRecordPartition& p = Partition(snap.core);
-    p.GetOrCreate(snap.tid) = TxnRecord::FromSnapshot(snap);
+    TxnRecord& rec = p.GetOrCreate(snap.tid);
+    rec.status = snap.status;
+    rec.view = snap.view;
+    rec.accept_view = snap.accept_view;
+    rec.accepted = snap.accepted;
+    rec.sets = MakeTxnSets(snap.read_set, snap.write_set);
+    p.SetTs(rec, snap.ts);
   }
 }
 

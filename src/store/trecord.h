@@ -47,7 +47,6 @@ struct TxnRecord {
   }
 
   TxnRecordSnapshot ToSnapshot(CoreId core) const;
-  static TxnRecord FromSnapshot(const TxnRecordSnapshot& snap);
 };
 
 // One core's partition. Single-writer by construction; the DAP detector
@@ -64,32 +63,37 @@ class TRecordPartition {
   // Returns nullptr if absent.
   TxnRecord* Find(const TxnId& tid);
 
-  // Removes a finalized record (checkpoint trimming).
-  void Erase(const TxnId& tid);
+  // Stamps `rec`, a record of this partition, with the transaction's
+  // timestamp and queues it under that ts for the trim step. A record keeps
+  // the first valid ts it is given (later calls are no-ops), so it is queued
+  // once under it. An invalid ts (a backup coordinator that recovered no
+  // payload) is queued too: it sorts below every watermark, so the record
+  // trims as soon as it is final, like any final record below W. Charges
+  // nothing to the simulator.
+  void SetTs(TxnRecord& rec, Timestamp ts);
 
-  // One budgeted increment of the online watermark GC (DESIGN.md §12), the
-  // only way records leave a partition besides Erase and Clear. Trimming is
-  // safe because finalized records are only consulted to answer duplicate
-  // messages; the epoch-change protocol re-establishes authoritative state
-  // whenever membership changes (paper §5.3.1: "allowing the replicas to
-  // bring themselves up-to-date and safely trim the trecord").
-  struct TrimStepResult {
+  // One increment of the online watermark GC (DESIGN.md §12), the only way
+  // records leave a partition besides Clear. Trimming is safe because
+  // finalized records are only consulted to answer duplicate messages; the
+  // epoch-change protocol re-establishes authoritative state whenever
+  // membership changes (paper §5.3.1: "allowing the replicas to bring
+  // themselves up-to-date and safely trim the trecord").
+  struct TrimResult {
     size_t trimmed = 0;  // Finalized records erased this step.
-    size_t scanned = 0;  // Records examined (trimmed or not).
-    bool wrapped = false;  // The cursor completed a full partition lap.
+    size_t scanned = 0;  // Queue entries popped plus held records re-checked.
   };
 
-  // Scans at most `budget` records starting at bucket `*cursor`, erasing
-  // finalized records with ts strictly below `below`.
-  // `*cursor` advances to where the next step should resume; a rehash since
-  // the last step (insert-driven growth — erase never rehashes) resets it.
+  // Pops every queued record with ts strictly below `below`: a finalized one
+  // is erased, an undecided one moves to the held list. Held records are
+  // re-checked at every step and erased once final. A step therefore costs
+  // O(records that crossed `below`) plus the held list, and allocates
+  // nothing once the queue's capacity is warm.
   //
-  // Non-final records with a valid ts strictly below `orphan_below` are
-  // reported into `orphans` (if non-null): their coordinator stopped driving
-  // them long ago, and the caller starts cooperative termination for them.
-  TrimStepResult TrimStep(Timestamp below, size_t budget, size_t* cursor,
-                          Timestamp orphan_below = Timestamp{},
-                          std::vector<std::pair<TxnId, ViewNum>>* orphans = nullptr);
+  // Held records with a valid ts strictly below `orphan_below` are reported
+  // into `orphans` (if non-null): their coordinator stopped driving them long
+  // ago, and the caller starts cooperative termination for them.
+  TrimResult TrimBelow(Timestamp below, Timestamp orphan_below = Timestamp{},
+                       std::vector<std::pair<TxnId, ViewNum>>* orphans = nullptr);
 
   size_t Size() const { return records_.size(); }
 
@@ -100,7 +104,21 @@ class TRecordPartition {
  private:
   friend class TRecord;
 
+  // A record queued under `ts`. The entry is live while its record exists
+  // with that ts; anything else (a record re-stamped after an invalid first
+  // ts, or one its twin invalid-ts entry already trimmed) is dropped when
+  // the entry surfaces.
+  struct Queued {
+    Timestamp ts;
+    TxnId tid;
+  };
+
   std::unordered_map<TxnId, TxnRecord, TxnIdHash> records_;
+  // Min-heap on ts of the records not yet below the watermark.
+  std::vector<Queued> queue_;
+  // Records that crossed the watermark undecided (live slow transactions and
+  // orphans): the orphan sweep's only input.
+  std::vector<Queued> held_;
 
   // DAP audit identity: which partition this is and how many exist, so the
   // detector can map a scoped core id through the same modulo as Partition().

@@ -123,7 +123,7 @@ struct ValidateReply {
   uint64_t conflict_hash = 0;
   // Recently-committed writes drained from the answering core's ring (client
   // cache invalidation; empty when the cache/hint machinery is off). Bounded
-  // by CacheOptions::hints_per_reply at the producer and kMaxWriteHints at
+  // by kHintsPerReply (client_cache.h) at the producer and kMaxWriteHints at
   // the codec.
   std::vector<WriteHint> hints;
 };

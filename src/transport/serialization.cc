@@ -14,8 +14,8 @@ namespace {
 // system carries a single string or vector anywhere near this large.
 constexpr uint32_t kMaxLength = 64u << 20;
 
-// Hint lists are tiny by construction (CacheOptions::hints_per_reply, default
-// 8); a length prefix beyond this is hostile or corrupt.
+// Hint lists are tiny by construction (kHintsPerReply, 8); a length prefix
+// beyond this is hostile or corrupt.
 constexpr uint32_t kMaxWriteHints = 64;
 
 // Trecord snapshots and store versions, exchanged in epoch and coordinator

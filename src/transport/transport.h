@@ -30,11 +30,9 @@ class FaultInjector;
 // the unbatched per-message delivery.
 struct BatchOptions {
   bool enabled = true;
-  // Flush a wire frame / dispatch chunk at this many messages.
+  // Flush a wire frame / dispatch chunk at this many messages. A UDP frame
+  // also flushes before it would outgrow one datagram.
   uint32_t max_messages = 16;
-  // Flush a wire frame at this many payload bytes (kept under the 65507-byte
-  // UDP datagram ceiling with headroom for the frame headers).
-  uint32_t max_bytes = 57344;
 
   // Batching only amortizes backlog that already exists (a drain flushes
   // what it took), so it adds no latency at low load. A zero max_messages
@@ -53,10 +51,6 @@ struct BatchOptions {
   }
   BatchOptions& WithMaxMessages(uint32_t m) {
     max_messages = m;
-    return *this;
-  }
-  BatchOptions& WithMaxBytes(uint32_t b) {
-    max_bytes = b;
     return *this;
   }
 };

@@ -432,21 +432,20 @@ ZCP_FAST_PATH void UdpTransport::WireSend(const Message* const* msgs, size_t n) 
       buf.clear();
       // Wire-frame coalescing: a run of consecutive messages for the SAME
       // endpoint (same dst address, same steering word) packs into one
-      // MsgBatch datagram, bounded by the governor's message/byte thresholds
-      // and the datagram ceiling. Coordinator reply traffic — N validate
+      // MsgBatch datagram, bounded by the governor's message threshold and
+      // the datagram ceiling. Coordinator reply traffic — N validate
       // replies from one replica core to one client per drain — is the run
       // this collapses.
       size_t run = 1;
       if (opts.enabled && opts.max_messages > 1) {
-        const size_t byte_cap = std::min(static_cast<size_t>(opts.max_bytes), kMaxDatagram);
         size_t frame_bytes = kSteerBytes + 1 + 4 + 4 + EncodedMessageSize(m);
-        while (i + run < n && run < opts.max_messages && frame_bytes <= byte_cap) {
+        while (i + run < n && run < opts.max_messages && frame_bytes <= kMaxDatagram) {
           const Message& next = *msgs[i + run];
           if (!SameEndpoint(next, m)) {
             break;
           }
           const size_t add = 4 + EncodedMessageSize(next);
-          if (frame_bytes + add > byte_cap) {
+          if (frame_bytes + add > kMaxDatagram) {
             break;
           }
           frame_bytes += add;

@@ -9,6 +9,9 @@
 namespace meerkat {
 namespace {
 
+// How often a simulated client polls the admission window for a free slot.
+constexpr uint64_t kAdmissionPollNs = 2'000;
+
 // One closed-loop client. Every attempt flows Issue -> ExecuteHolding ->
 // OnDone: Issue claims a slot in the System's shared AIMD admission window
 // (a no-op when admission is disabled), ExecuteHolding runs the transaction
@@ -17,7 +20,7 @@ namespace {
 // and priority aging) or starts a fresh transaction.
 //
 // The simulated client must never block its actor, so it *polls* the window
-// (TryAcquire, re-scheduling itself after poll_ns) and converts retry
+// (TryAcquire, re-scheduling itself after kAdmissionPollNs) and converts retry
 // backoffs into scheduled events. The threaded client parks a resume
 // callback in the window instead (AcquireOrPark) and re-issues retries
 // immediately — it has no virtual clock to sleep on without stalling its
@@ -58,7 +61,7 @@ struct ClientLoop {
     bool bypass = priority > 0;
     if (sim != nullptr) {
       if (!window->TryAcquire(bypass)) {
-        ScheduleSelf(window->options().poll_ns);
+        ScheduleSelf(kAdmissionPollNs);
         return;
       }
       ExecuteHolding(priority);

@@ -45,7 +45,7 @@ TEST_F(DapCheckTest, CrossPartitionAccessUnderScopeIsReported) {
   trecord.Partition(1).GetOrCreate(Tid(1));
   EXPECT_EQ(DapAudit::violations(), 1u);
   trecord.Partition(2).Find(Tid(2));
-  trecord.Partition(3).Erase(Tid(3));
+  trecord.Partition(3).TrimBelow(Timestamp{1, 0});
   EXPECT_EQ(DapAudit::violations(), 3u);
 }
 
@@ -154,19 +154,17 @@ TEST_F(DapCheckTest, ClearResetsOwnerStamp) {
 TEST_F(DapCheckTest, BulkMaintenanceEntryPointsAreSuspended) {
   // ReplaceAll walks every partition from one thread; it must not trip the
   // detector even inside a foreign core scope. Trimming has no bulk form:
-  // each core trims its own partition with TrimStep, inside its own scope.
+  // each core trims its own partition with TrimBelow, inside its own scope.
   TRecord trecord(4);
   for (uint32_t core = 0; core < 4; core++) {
     DapCoreScope scope(core);
     TxnRecord& rec = trecord.Partition(core).GetOrCreate(Tid(core));
     rec.status = TxnStatus::kCommitted;
-    rec.ts = Timestamp{100, 1};
+    trecord.Partition(core).SetTs(rec, Timestamp{100, 1});
   }
   for (uint32_t core = 0; core < 4; core++) {
     DapCoreScope scope(core);
-    size_t cursor = 0;
-    EXPECT_EQ(trecord.Partition(core).TrimStep(Timestamp{200, 1}, /*budget=*/16, &cursor).trimmed,
-              1u);
+    EXPECT_EQ(trecord.Partition(core).TrimBelow(Timestamp{200, 1}).trimmed, 1u);
   }
   DapCoreScope scope(0);
   trecord.ReplaceAll({});

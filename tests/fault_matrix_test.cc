@@ -241,8 +241,7 @@ TEST_P(GcTrimRetransmitTest, TrimRaceIsAbsorbedAndDeterministic) {
       DefaultOptions(param.kind)
           .WithRetry(TestRetry())
           .WithFaultPlan(plan)
-          .WithGc(
-              GcOptions().WithIntervalDispatches(1).WithTrimBudget(1024).WithHorizon(kHorizonNs));
+          .WithGc(GcOptions().WithHorizon(kHorizonNs));
   const uint64_t stale_before = SnapshotMetrics().CounterValue("gc.stale_validates_answered");
   SimHarness h(options);
   std::string sig = RunWorkload(h, /*n=*/8, kGapNs);

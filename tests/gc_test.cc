@@ -1,7 +1,8 @@
-// Online watermark GC (DESIGN.md §12): budgeted TrimStep mechanics, the
-// per-core watermark W = replica clock − horizon, the trimmed-duplicate
-// answer branches (retransmitted VALIDATE/COMMIT for already-trimmed
-// transactions), the orphan sweep driving cooperative termination, a
+// Online watermark GC (DESIGN.md §12): trim-step mechanics over the
+// per-partition timestamp queue, the per-core watermark W = replica clock −
+// horizon, the trimmed-duplicate answer branches (retransmitted
+// VALIDATE/COMMIT for already-trimmed transactions), the orphan sweep
+// driving cooperative termination, a
 // simulator soak showing the trecord stays bounded, and two simulator runs
 // the watermark must survive: a client that crashes mid-commit and a few
 // hundred clients retransmitting through dropped VALIDATEs.
@@ -26,11 +27,11 @@
 namespace meerkat {
 namespace {
 
-// --- TrimStep unit tests (bare partition) ---------------------------------
+// --- Trim step unit tests (bare partition) --------------------------------
 
 TxnRecord& AddRecord(TRecordPartition& part, TxnId tid, Timestamp ts, TxnStatus status) {
   TxnRecord& rec = part.GetOrCreate(tid);
-  rec.ts = ts;
+  part.SetTs(rec, ts);
   rec.status = status;
   return rec;
 }
@@ -43,10 +44,8 @@ TEST(TrimStepTest, TrimsOnlyFinalizedStrictlyBelow) {
   AddRecord(part, {1, 3}, {30, 1}, TxnStatus::kCommitted);  // Above: kept.
   AddRecord(part, {1, 4}, {5, 1}, TxnStatus::kValidatedOk);  // Below but live: kept.
 
-  size_t cursor = 0;
-  auto res = part.TrimStep(Timestamp{20, 1}, /*budget=*/100, &cursor);
+  auto res = part.TrimBelow(Timestamp{20, 1});
   EXPECT_EQ(res.trimmed, 1u);
-  EXPECT_TRUE(res.wrapped);
   EXPECT_EQ(part.Find({1, 1}), nullptr);
   EXPECT_NE(part.Find({1, 2}), nullptr);
   EXPECT_NE(part.Find({1, 3}), nullptr);
@@ -57,36 +56,14 @@ TEST(TrimStepTest, InvalidWatermarkIsANoop) {
   TRecord trecord(1);
   TRecordPartition& part = trecord.Partition(0);
   AddRecord(part, {1, 1}, {10, 1}, TxnStatus::kCommitted);
-  size_t cursor = 0;
-  auto res = part.TrimStep(Timestamp{}, /*budget=*/100, &cursor);
+  auto res = part.TrimBelow(Timestamp{});
   EXPECT_EQ(res.trimmed, 0u);
   EXPECT_EQ(part.Size(), 1u);
 }
 
-TEST(TrimStepTest, BudgetBoundsEachStepAndCursorResumes) {
-  TRecord trecord(1);
-  TRecordPartition& part = trecord.Partition(0);
-  constexpr size_t kRecords = 256;
-  for (uint32_t i = 0; i < kRecords; i++) {
-    AddRecord(part, {1, i + 1}, {100 + i, 1}, TxnStatus::kCommitted);
-  }
-  // Everything is below the watermark; a budget of 16 needs many steps but
-  // each one must stay within its slice.
-  size_t cursor = 0;
-  size_t steps = 0;
-  while (part.Size() > 0 && steps < 1000) {
-    auto res = part.TrimStep(Timestamp{100 + kRecords, 1}, /*budget=*/16, &cursor);
-    // A step may overshoot its budget only by finishing its last bucket.
-    EXPECT_LE(res.scanned, 64u) << "budget overshot at step " << steps;
-    steps++;
-  }
-  EXPECT_EQ(part.Size(), 0u);
-  EXPECT_GE(steps, kRecords / 64) << "budget was not actually bounding the steps";
-}
-
-// A step whose budget covers the partition examines every record once,
-// trimmed or not, and exports the count as gc.records_scanned.
-TEST(TrimStepTest, ScansEveryLiveRecordWithinBudget) {
+// A step examines only the records that crossed the watermark, trimmed or
+// not, and exports the count as gc.records_scanned.
+TEST(TrimStepTest, ExaminesOnlyRecordsBelowTheWatermark) {
   TRecord trecord(1);
   TRecordPartition& part = trecord.Partition(0);
   constexpr uint32_t kRecords = 40;
@@ -95,11 +72,12 @@ TEST(TrimStepTest, ScansEveryLiveRecordWithinBudget) {
     AddRecord(part, {2, i + 1}, {i % 4 == 0 ? 10u : 500u + i, 2}, TxnStatus::kCommitted);
   }
   const uint64_t before = SnapshotMetrics().CounterValue("gc.records_scanned");
-  size_t cursor = 0;
-  auto res = part.TrimStep(Timestamp{100, 0}, /*budget=*/kRecords, &cursor);
-  EXPECT_EQ(res.scanned, kRecords);
+  auto res = part.TrimBelow(Timestamp{100, 0});
+  EXPECT_EQ(res.scanned, kRecords / 4);
   EXPECT_EQ(res.trimmed, kRecords / 4);
-  EXPECT_EQ(SnapshotMetrics().CounterValue("gc.records_scanned") - before, kRecords);
+  EXPECT_EQ(SnapshotMetrics().CounterValue("gc.records_scanned") - before, kRecords / 4);
+  // Nothing else crossed: the next step at the same watermark examines nothing.
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}).scanned, 0u);
 }
 
 TEST(TrimStepTest, ReportsOrphansWithoutTrimmingThem) {
@@ -111,10 +89,8 @@ TEST(TrimStepTest, ReportsOrphansWithoutTrimmingThem) {
   AddRecord(part, {7, 3}, {95, 7}, TxnStatus::kValidatedOk);  // Above grace: live.
   AddRecord(part, {7, 4}, {10, 8}, TxnStatus::kCommitted);    // Final: trim, not orphan.
 
-  size_t cursor = 0;
   std::vector<std::pair<TxnId, ViewNum>> orphans;
-  auto res = part.TrimStep(Timestamp{100, 0}, /*budget=*/100, &cursor,
-                           /*orphan_below=*/Timestamp{90, 0}, &orphans);
+  auto res = part.TrimBelow(Timestamp{100, 0}, /*orphan_below=*/Timestamp{90, 0}, &orphans);
   EXPECT_EQ(res.trimmed, 1u);
   ASSERT_EQ(orphans.size(), 2u);
   // Orphans are reported but never erased: only consensus finalizes them.
@@ -128,6 +104,83 @@ TEST(TrimStepTest, ReportsOrphansWithoutTrimmingThem) {
     }
   }
   EXPECT_TRUE(saw_promoted);
+}
+
+// Held records (crossed W undecided) are re-checked at every step: reported
+// again while they stay orphaned, and trimmed once a decision lands.
+TEST(TrimStepTest, HeldRecordsTrimOnceDecided) {
+  TRecord trecord(1);
+  TRecordPartition& part = trecord.Partition(0);
+  TxnRecord& stuck = AddRecord(part, {8, 1}, {10, 8}, TxnStatus::kValidatedOk);
+  std::vector<std::pair<TxnId, ViewNum>> orphans;
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}, Timestamp{90, 0}, &orphans).trimmed, 0u);
+  EXPECT_EQ(orphans.size(), 1u);
+  orphans.clear();
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}, Timestamp{90, 0}, &orphans).scanned, 1u);
+  EXPECT_EQ(orphans.size(), 1u);
+
+  stuck.status = TxnStatus::kCommitted;
+  orphans.clear();
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}, Timestamp{90, 0}, &orphans).trimmed, 1u);
+  EXPECT_TRUE(orphans.empty());
+  EXPECT_EQ(part.Size(), 0u);
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}).scanned, 0u) << "the held list kept a trimmed record";
+}
+
+// A backup coordinator that recovered no payload stamps an invalid ts: the
+// record still trims once final (an invalid ts sorts below every W), and a
+// later valid stamp replaces the first entry instead of trimming early.
+TEST(TrimStepTest, InvalidTsRecordsTrimOnceFinal) {
+  TRecord trecord(1);
+  TRecordPartition& part = trecord.Partition(0);
+  TxnRecord& blank = AddRecord(part, {6, 1}, Timestamp{}, TxnStatus::kAcceptAbort);
+  part.SetTs(blank, Timestamp{});  // The COMMIT carries no ts either.
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}).trimmed, 0u);
+  blank.status = TxnStatus::kAborted;
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}).trimmed, 1u);
+
+  TxnRecord& late = AddRecord(part, {6, 2}, Timestamp{}, TxnStatus::kAcceptCommit);
+  part.SetTs(late, Timestamp{500, 6});  // A COMMIT that carries the ts.
+  late.status = TxnStatus::kCommitted;
+  EXPECT_EQ(part.TrimBelow(Timestamp{200, 0}).trimmed, 0u);
+  EXPECT_EQ(part.TrimBelow(Timestamp{600, 0}).trimmed, 1u);
+  EXPECT_EQ(part.Size(), 0u);
+}
+
+// The queue orders records by ts whatever order they were stamped in;
+// records adopted through ReplaceAll are queued like any other; and entries
+// from before a Clear never reach the records created after it.
+TEST(TrimStepTest, QueueFollowsTsOrderAcrossReplaceAndClear) {
+  TRecord trecord(1);
+  TRecordPartition& part = trecord.Partition(0);
+  const uint64_t stamps[] = {70, 10, 50, 30, 90, 20, 80, 40, 60};
+  for (uint32_t i = 0; i < 9; i++) {
+    AddRecord(part, {3, i + 1}, {stamps[i], 3}, TxnStatus::kCommitted);
+  }
+  EXPECT_EQ(part.TrimBelow(Timestamp{45, 0}).trimmed, 4u);  // 10, 20, 30, 40.
+  EXPECT_EQ(part.Size(), 5u);
+  EXPECT_EQ(part.TrimBelow(Timestamp{100, 0}).trimmed, 5u);
+  EXPECT_EQ(part.Size(), 0u);
+
+  // Epoch adoption: the snapshot's records trim once W passes their ts.
+  TxnRecordSnapshot adopted;
+  adopted.tid = {4, 1};
+  adopted.ts = {300, 4};
+  adopted.status = TxnStatus::kAborted;
+  adopted.core = 0;
+  trecord.ReplaceAll({adopted});
+  EXPECT_EQ(part.TrimBelow(Timestamp{200, 0}).trimmed, 0u);
+  EXPECT_EQ(part.TrimBelow(Timestamp{400, 0}).trimmed, 1u);
+
+  // A record queued under ts 500, cleared, then re-created under ts 900: the
+  // step at 600 must not erase the new record on the old entry's account.
+  AddRecord(part, {5, 1}, {500, 5}, TxnStatus::kCommitted);
+  part.Clear();
+  AddRecord(part, {5, 1}, {900, 5}, TxnStatus::kCommitted);
+  auto res = part.TrimBelow(Timestamp{600, 0});
+  EXPECT_EQ(res.scanned, 0u);
+  EXPECT_NE(part.Find({5, 1}), nullptr);
+  EXPECT_EQ(part.TrimBelow(Timestamp{1000, 0}).trimmed, 1u);
 }
 
 // --- Replica watermark behaviour (loopback, single replica) ---------------
@@ -170,11 +223,10 @@ constexpr uint64_t kTestHorizon = 100;
 class GcReplicaFixture : public ::testing::Test {
  protected:
   GcReplicaFixture() {
-    // Aggressive GC so every injected message is followed by a trim step.
     replica_ = std::make_unique<MeerkatReplica>(
         0, QuorumConfig::ForReplicas(3), 2, &transport_, &clock_, /*group_base=*/0,
         RetryPolicy(), OverloadOptions(),
-        GcOptions().WithIntervalDispatches(1).WithTrimBudget(256).WithHorizon(kTestHorizon));
+        GcOptions().WithHorizon(kTestHorizon));
     replica_->LoadKey("k", "v0", Timestamp{1, 0});
   }
 
@@ -319,14 +371,19 @@ constexpr uint64_t kOrphanGrace = 100'000;
 class GcOrphanFixture : public ::testing::Test {
  protected:
   GcOrphanFixture() : sim_(CostModel{}), transport_(&sim_), time_source_(&sim_) {
+    BuildReplicas(kOrphanGrace);
+    transport_.RegisterClient(99, &sink_);
+    transport_.RegisterClient(98, &sink_);
+  }
+
+  // (Re)builds the three replicas with the given orphan grace.
+  void BuildReplicas(uint64_t grace) {
+    replicas_.clear();
     for (ReplicaId r = 0; r < 3; r++) {
       // Only replica 1 runs the sweep, so exactly one backup coordinator
       // contends for the orphan (the multi-host case is arbitrated by views
       // and covered by GcHorizonTest below).
-      GcOptions gc = r == 1 ? GcOptions()
-                                  .WithIntervalDispatches(1)
-                                  .WithHorizon(kOrphanHorizon)
-                                  .WithOrphanGrace(kOrphanGrace)
+      GcOptions gc = r == 1 ? GcOptions().WithHorizon(kOrphanHorizon).WithOrphanGrace(grace)
                             : GcOptions().WithEnabled(false);
       replicas_.push_back(std::make_unique<MeerkatReplica>(
           r, QuorumConfig::ForReplicas(3), 2, &transport_, &time_source_, /*group_base=*/0,
@@ -334,8 +391,6 @@ class GcOrphanFixture : public ::testing::Test {
       replicas_.back()->LoadKey("k", "v0", Timestamp{1, 0});
       replicas_.back()->LoadKey("w", "w0", Timestamp{1, 0});
     }
-    transport_.RegisterClient(99, &sink_);
-    transport_.RegisterClient(98, &sink_);
   }
 
   // Sends `payload` from `client` to every replica at virtual time `at_ns`.
@@ -408,6 +463,50 @@ TEST_F(GcOrphanFixture, SweepRecoversOrphanAndClearsPendingRegistrations) {
   EXPECT_EQ(replicas_[1]->hosted_backup_count(), 0u);
 }
 
+// Twelve clients die after VALIDATE on the same core. One sweep starts a
+// recovery for each, and none is started twice: the backups' COMMITs queue
+// behind each other on the core, and each swept tid stays cooled down for a
+// grace period after its sweep, record or no record.
+TEST_F(GcOrphanFixture, ManyOrphansOnOneCoreAreEachRecoveredOnce) {
+  // A 1 ms grace: the simulated backlog twelve recoveries put on one core
+  // outlasts the fixture's 100 us, and a sweep after a grace period has
+  // passed is a legitimate retry.
+  constexpr uint64_t kGrace = 1'000'000;
+  constexpr uint32_t kOrphans = 12;
+  constexpr uint64_t kOrphanAt = 10'000;
+  BuildReplicas(kGrace);
+  for (uint32_t i = 0; i < kOrphans; i++) {
+    const uint32_t client = 100 + i;
+    const std::string key = "orphan-key-" + std::to_string(i);
+    transport_.RegisterClient(client, &sink_);
+    for (auto& replica : replicas_) {
+      replica->LoadKey(key, "v0", Timestamp{1, 0});
+    }
+    BroadcastAt(kOrphanAt + i, client,
+                ValidateRequest{TxnId{client, 1},
+                                {kOrphanAt + i, client},
+                                {{key, Timestamp{1, 0}}},
+                                {{key, "orphan-" + std::to_string(i)}}});
+  }
+  for (auto& replica : replicas_) {
+    ASSERT_EQ(replica->store().PendingCountForTesting(), 2u * kOrphans);
+  }
+
+  const uint64_t before = SnapshotMetrics().CounterValue("gc.orphan_recoveries");
+  FreshTxnAt(kOrphanAt + 4 * (kOrphanHorizon + kGrace));
+  sim_.Run();
+
+  EXPECT_EQ(SnapshotMetrics().CounterValue("gc.orphan_recoveries") - before, kOrphans);
+  for (auto& replica : replicas_) {
+    for (uint32_t i = 0; i < kOrphans; i++) {
+      EXPECT_EQ(replica->store().Read("orphan-key-" + std::to_string(i)).value,
+                "orphan-" + std::to_string(i))
+          << "replica " << replica->id();
+    }
+    EXPECT_EQ(replica->store().PendingCountForTesting(), 0u) << "replica " << replica->id();
+  }
+}
+
 TEST_F(GcOrphanFixture, LiveTransactionsInsideGraceAreLeftAlone) {
   // The fresh traffic at t puts W at t − horizon and the orphan threshold at
   // t − horizon − grace; a transaction stamped half a grace below W is below
@@ -442,7 +541,7 @@ TEST(GcSoakTest, TrecordStaysBoundedOverManyTransactions) {
     replicas.push_back(std::make_unique<MeerkatReplica>(
         r, QuorumConfig::ForReplicas(3), 2, &transport, &time_source, /*group_base=*/0,
         RetryPolicy(), OverloadOptions(),
-        GcOptions().WithIntervalDispatches(4).WithHorizon(100'000)));
+        GcOptions().WithHorizon(100'000)));
     for (int k = 0; k < 8; k++) {
       replicas.back()->LoadKey("key" + std::to_string(k), "0", Timestamp{1, 0});
     }
@@ -538,7 +637,7 @@ TEST(GcHorizonTest, CrashedClientIsTerminatedAndDoesNotPinTrimming) {
     replicas.push_back(std::make_unique<MeerkatReplica>(
         r, QuorumConfig::ForReplicas(3), 2, &transport, &time_source, /*group_base=*/0, retry,
         OverloadOptions(),
-        GcOptions().WithIntervalDispatches(1).WithHorizon(kHorizon).WithOrphanGrace(kGrace)));
+        GcOptions().WithHorizon(kHorizon).WithOrphanGrace(kGrace)));
     replicas.back()->LoadKey("doomed", "v0", Timestamp{1, 0});
     for (int k = 0; k < 8; k++) {
       replicas.back()->LoadKey("live" + std::to_string(k), "0", Timestamp{1, 0});
@@ -608,7 +707,7 @@ TEST(GcHorizonTest, ManyClientsInsideDeadlineMeetNoStaleAnswers) {
                               .WithRetry(retry)
                               .WithClock({.max_skew_ns = 50'000, .jitter_ns = 1'000})
                               .WithFaultPlan(plan)
-                              .WithGc(GcOptions().WithIntervalDispatches(1).WithHorizon(1'000));
+                              .WithGc(GcOptions().WithHorizon(1'000));
   SimHarness h(options);
   std::vector<std::unique_ptr<ClientSession>> sessions;
   for (uint32_t c = 1; c <= kClients; c++) {

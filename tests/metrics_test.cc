@@ -30,6 +30,7 @@ const MetricId kTestGauge = MetricsRegistry::Gauge("test.gauge");
 const MetricId kTestHist = MetricsRegistry::Histogram("test.hist");
 const MetricId kStressCounter = MetricsRegistry::Counter("test.stress_counter");
 const MetricId kStressGauge = MetricsRegistry::Gauge("test.stress_gauge");
+const MetricId kStressHistogram = MetricsRegistry::Histogram("test.stress_histogram");
 
 TEST(MetricsRegistryTest, RegistrationIsIdempotentByName) {
   MetricId again = MetricsRegistry::Counter("test.counter");
@@ -183,11 +184,12 @@ TEST(MetricsRegistryTest, CapacityOverflowYieldsInvalidIdNotCorruption) {
   EXPECT_EQ(SnapshotMetrics().GaugeValue("test.gauge"), base + 7);
 }
 
-// The TSan target: recorder threads spin on counter/gauge records while the
-// main thread snapshots mid-flight. Torn totals are expected; data races and
-// non-monotone counter totals are not.
+// The TSan target: recorder threads spin on counter, gauge and histogram
+// records while the main thread snapshots mid-flight. Torn totals are
+// expected; data races and non-monotone counter totals are not.
 TEST(MetricsRegistryTest, TornSnapshotStressIsMonotoneAndRaceFree) {
   uint64_t counter_base = SnapshotMetrics().CounterValue("test.stress_counter");
+  uint64_t histogram_base = SnapshotMetrics().histograms["test.stress_histogram"].Count();
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 200'000;
   std::atomic<bool> go{false};
@@ -200,6 +202,7 @@ TEST(MetricsRegistryTest, TornSnapshotStressIsMonotoneAndRaceFree) {
         MetricIncr(kStressCounter);
         MetricGaugeAdd(kStressGauge, 1);
         MetricGaugeAdd(kStressGauge, -1);
+        MetricRecordValue(kStressHistogram, i);
       }
     });
   }
@@ -219,6 +222,8 @@ TEST(MetricsRegistryTest, TornSnapshotStressIsMonotoneAndRaceFree) {
             counter_base + kThreads * kPerThread);
   // Every +1 was paired with a -1, so quiescent gauge total is unchanged.
   EXPECT_EQ(final_snap.GaugeValue("test.stress_gauge"), 0);
+  EXPECT_EQ(final_snap.histograms["test.stress_histogram"].Count(),
+            histogram_base + kThreads * kPerThread);
 }
 
 #if MEERKAT_TRACE

@@ -73,12 +73,12 @@ TEST(AimdWindowTest, ContentionShrinksGentlyOverloadShrinksHard) {
   AimdWindow a(SmallWindow(32.0));
   ASSERT_TRUE(a.TryAcquire());
   a.OnOutcome(TxnResult::kAbort, AbortReason::kOccConflict);
-  EXPECT_DOUBLE_EQ(a.window(), 32.0 * a.options().conflict_decrease);
+  EXPECT_DOUBLE_EQ(a.window(), 32.0 * AimdWindow::kConflictDecrease);
 
   AimdWindow b(SmallWindow(32.0));
   ASSERT_TRUE(b.TryAcquire());
   b.OnOutcome(TxnResult::kAbort, AbortReason::kOverload);
-  EXPECT_DOUBLE_EQ(b.window(), 32.0 * b.options().overload_decrease);
+  EXPECT_DOUBLE_EQ(b.window(), 32.0 * AimdWindow::kOverloadDecrease);
   EXPECT_LT(b.window(), a.window()) << "overload must back off harder than contention";
 }
 

@@ -292,10 +292,7 @@ TEST(ScheduleFuzzTest, FourWayContentionAllSchedules) {
 // the seed sweep trimming must actually occur (otherwise the variant is
 // vacuous).
 TEST(ScheduleFuzzTest, ConflictingChainsWithTrimInterleaved) {
-  GcOptions aggressive = GcOptions()
-                             .WithIntervalDispatches(1)
-                             .WithTrimBudget(64)
-                             .WithHorizon(8 * kDeliveryStepNs);
+  GcOptions aggressive = GcOptions().WithHorizon(8 * kDeliveryStepNs);
   const size_t untrimmed_total = 3u /*replicas*/ * 2u /*clients*/ * 2u /*txns*/;
   bool trimmed_somewhere = false;
   for (uint64_t seed = 0; seed < 150; seed++) {

@@ -280,7 +280,10 @@ TEST(TRecordTest, GetOrCreateFindErase) {
   EXPECT_EQ(rec.tid, tid);
   EXPECT_EQ(part.Find(tid), &rec);
   EXPECT_EQ(part.Size(), 1u);
-  part.Erase(tid);
+  // The trim step is the one erase path: a final record below W goes.
+  part.SetTs(rec, Ts(10, 1));
+  rec.status = TxnStatus::kCommitted;
+  EXPECT_EQ(part.TrimBelow(Ts(11, 0)).trimmed, 1u);
   EXPECT_EQ(part.Find(tid), nullptr);
 }
 
@@ -327,12 +330,11 @@ TEST(TRecordTest, TrimStepSkipsMetricWritesWhenNothingTrims) {
   const int64_t before_live = SnapshotMetrics().GaugeValue("trecord.live_records");
   TRecordPartition part;
   TxnRecord& rec = part.GetOrCreate(TxnId{21, 1});
-  rec.ts = Ts(100, 21);
+  part.SetTs(rec, Ts(100, 21));
   rec.status = TxnStatus::kCommitted;
-  // Watermark below every record: nothing trims, and the zero-trim pass must
+  // Watermark below every record: nothing trims, and the zero-trim step must
   // not touch the counter or the gauge (hot maintenance loop, cold metrics).
-  size_t cursor = 0;
-  EXPECT_EQ(part.TrimStep(Ts(50, 1), /*budget=*/16, &cursor).trimmed, 0u);
+  EXPECT_EQ(part.TrimBelow(Ts(50, 1)).trimmed, 0u);
   EXPECT_EQ(SnapshotMetrics().CounterValue("trecord.records_trimmed"), before_trimmed);
   EXPECT_EQ(SnapshotMetrics().GaugeValue("trecord.live_records"), before_live + 1);
   part.Clear();  // Rebalance the global gauge for other tests.

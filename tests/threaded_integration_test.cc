@@ -164,18 +164,15 @@ TEST(EpochChangeUnderTrafficTest, TrafficResumesAfterChange) {
   transport.Stop();
 }
 
-// Checkpoint through the production trim path: one full-lap TrimStep per
-// partition with a watermark above `below`. The audit is suspended because
-// the caller stands in for every core at once (the cores are quiesced, as in
-// any maintenance window).
+// Checkpoint through the production trim path: one trim step per partition
+// at watermark `below`. The audit is suspended because the caller stands in
+// for every core at once (the cores are quiesced, as in any maintenance
+// window).
 size_t TrimAllFinalBelow(TRecord& trecord, Timestamp below) {
   DapAuditSuspend suspend;
   size_t trimmed = 0;
   for (size_t core = 0; core < trecord.NumPartitions(); core++) {
-    size_t cursor = 0;
-    trimmed += trecord.Partition(static_cast<CoreId>(core))
-                   .TrimStep(below, /*budget=*/SIZE_MAX, &cursor)
-                   .trimmed;
+    trimmed += trecord.Partition(static_cast<CoreId>(core)).TrimBelow(below).trimmed;
   }
   return trimmed;
 }
@@ -183,9 +180,10 @@ size_t TrimAllFinalBelow(TRecord& trecord, Timestamp below) {
 TEST(TrecordCheckpointTest, TrimStepDropsOnlyOldFinalRecords) {
   TRecord trecord(2);
   auto add = [&trecord](uint64_t seq, TxnStatus status, uint64_t time) {
-    TxnRecord& rec = trecord.Partition(seq % 2).GetOrCreate(TxnId{1, seq});
+    TRecordPartition& part = trecord.Partition(seq % 2);
+    TxnRecord& rec = part.GetOrCreate(TxnId{1, seq});
     rec.status = status;
-    rec.ts = Timestamp{time, 1};
+    part.SetTs(rec, Timestamp{time, 1});
   };
   add(1, TxnStatus::kCommitted, 100);
   add(2, TxnStatus::kAborted, 200);

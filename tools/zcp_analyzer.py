@@ -212,6 +212,10 @@ def strip_comments_and_strings(text):
             j = n if j == -1 else j + 2
             out.append("".join("\n" if ch == "\n" else " " for ch in text[i:j]))
             i = j
+        elif (c == "'" and i > 0 and text[i - 1].isdigit()
+              and i + 1 < n and text[i + 1].isalnum()):
+            out.append(c)  # A digit separator (10'000), not a char literal.
+            i += 1
         elif c in "\"'":
             quote = c
             j = i + 1
